@@ -6,22 +6,22 @@ file pins the PR 5 rewrite:
 
 * ``test_trace_construction_speedup_vs_object_path`` is the acceptance
   benchmark: replaying the real kernel x ISA grid's emission streams
-  through the trace-construction machinery (emit -> lowered arrays ->
-  cache payloads), the column path must be **>= 3x** the object path.
-  Both paths run in the same process on the same streams, so the ratio is
-  robust to absolute machine speed (locally ~5x).  The replay isolates
-  exactly what this PR rewrote — the object path pays one DynInstr + the
-  ``lower_trace`` pass + the payload re-interning per instruction, the
-  column path interns once at emission.
+  through the trace-construction machinery (emit -> lowered arrays), the
+  column path must be **>= 3x** the object path.  Both paths run in the
+  same process on the same streams, so the ratio is robust to absolute
+  machine speed (locally ~5-6x).  The replay isolates exactly what the
+  column recorder changed — the object path pays one DynInstr plus the
+  ``lower_trace`` pass per instruction, the column path interns once at
+  emission.
 * ``test_cold_build_pipeline_speedup`` measures the end-to-end number a
   cold sweep actually feels (functional execution included):
-  ``run_variant`` + lower + payload over the grid, column vs object mode.
+  ``run_variant`` + lower over the grid, column vs object mode.
   With PR 7's lane-plane semantics + block emission the kernels' Python
   semantics no longer dominate — the in-process ratio is ~6x locally and
   asserted at >= 3.0x.
 * ``test_cold_build_per_kernel_breakdown`` records, per kernel, where the
-  cold column build spends its time (functional build / lower /
-  serialize), so a regression names its phase.
+  cold column build spends its time (functional build / lower), so a
+  regression names its phase.
 * ``test_memory_array_helpers_vectorized`` pins the NumPy ``Memory``
   rewrite: bulk array reads must run >= 10 M lanes/s (the per-element
   loop managed ~1 M).
@@ -29,11 +29,14 @@ file pins the PR 5 rewrite:
 Reference points on the development machine (Python 3.11, 1 vCPU), whole
 kernel x ISA grid (~48 k dynamic instructions):
 
-* seed object path (build + lower + payload):   ~590 ms
+* seed object path (build + lower + serialize): ~590 ms
 * PR 5 column path (same work):                 ~230 ms end-to-end,
   construction machinery alone ~38 ms vs ~210 ms (~5.5x)
 * PR 7 lane planes + block emission:            ~58 ms end-to-end (~3.9x
   over PR 5, ~820 k instr/s)
+
+These reference figures also timed a trace-payload serialization step
+that the pipeline no longer runs.
 """
 
 from __future__ import annotations
@@ -47,6 +50,11 @@ from repro.frontend.machine import Memory
 from repro.kernels.base import ISA_VARIANTS
 from repro.kernels.registry import KERNELS
 from repro.trace.container import Trace
+
+#: Every LoweredTrace field the timing backends read.
+_LOWERED_FIELDS = ("name", "isa", "num_instructions", "total_ops",
+                   "num_regs", "shapes", "shape_ids", "srcs", "dsts",
+                   "opcodes", "opcode_ids")
 
 #: One emission stream per kernel x ISA point of the reference grid.
 _GRID = [(kernel, isa) for kernel in KERNELS for isa in ISA_VARIANTS]
@@ -70,21 +78,29 @@ def _capture_streams():
 
 
 def _construct(streams, columns: bool):
-    """Replay every stream through one emission mode, to cache payloads.
+    """Replay every stream through one emission mode, to lowered traces.
 
     This is the cold front-end pipeline minus the kernels' functional
-    semantics: emit every instruction, lower, serialize the trace and the
-    lowering (what a cold sweep writes into the trace cache).
+    semantics: emit every instruction, then lower (what a cold sweep hands
+    to the timing backends).
     """
-    payloads = []
+    traces = []
     for name, isa, calls in streams:
         trace = Trace(name=name, isa=isa, columns=columns)
         emit = trace.emit
         for call in calls:
             emit(*call)
-        lowered = trace.lower()
-        payloads.append((trace.to_payload(), lowered.to_payload()))
-    return payloads
+        trace.lower()
+        traces.append(trace)
+    return traces
+
+
+def _signature(trace):
+    """Everything observable about a built trace: instructions in order
+    and every lowered column."""
+    lowered = trace.lower()
+    return (trace.name, trace.isa, list(trace),
+            [getattr(lowered, field) for field in _LOWERED_FIELDS])
 
 
 def _best_of(fn, rounds: int) -> float:
@@ -99,12 +115,13 @@ def _best_of(fn, rounds: int) -> float:
 def test_trace_construction_speedup_vs_object_path(benchmark):
     """The acceptance benchmark: column-built trace construction must be
     >= 3x the object path on the reference grid's real streams, with
-    byte-identical payloads."""
+    identical instructions and lowerings."""
     streams = _capture_streams()
     instructions = sum(len(calls) for _, _, calls in streams)
 
-    assert _construct(streams, columns=True) == _construct(
-        streams, columns=False), "column path drifted from the object path"
+    column = [_signature(t) for t in _construct(streams, columns=True)]
+    objectp = [_signature(t) for t in _construct(streams, columns=False)]
+    assert column == objectp, "column path drifted from the object path"
 
     object_best = _best_of(lambda: _construct(streams, columns=False), 5)
     column_best = _best_of(lambda: _construct(streams, columns=True), 5)
@@ -126,15 +143,13 @@ def test_trace_construction_speedup_vs_object_path(benchmark):
 
 def test_cold_build_pipeline_speedup(benchmark):
     """End-to-end cold build of the grid (functional execution included):
-    run_variant + lower + payload, column mode vs object mode."""
+    run_variant + lower, column mode vs object mode."""
 
     def pipeline(columns: bool) -> int:
         n = 0
         for kernel_name, isa in _GRID:
             result = KERNELS[kernel_name].run_variant(isa, columns=columns)
-            lowered = result.trace.lower()
-            result.trace.to_payload()
-            lowered.to_payload()
+            result.trace.lower()
             n += len(result.trace)
         return n
 
@@ -167,8 +182,8 @@ def test_cold_build_pipeline_speedup(benchmark):
 
 def test_cold_build_per_kernel_breakdown(benchmark):
     """Per-kernel phase breakdown of the cold column build: functional
-    build (kernel semantics + emission), lower, serialize.  Recorded into
-    the benchmark JSON so a cold-build regression names its phase."""
+    build (kernel semantics + emission), lower.  Recorded into the
+    benchmark JSON so a cold-build regression names its phase."""
 
     def phase_split():
         breakdown = {}
@@ -176,25 +191,20 @@ def test_cold_build_per_kernel_breakdown(benchmark):
             t0 = time.perf_counter()
             result = KERNELS[kernel_name].run_variant(isa, columns=True)
             t1 = time.perf_counter()
-            lowered = result.trace.lower()
+            result.trace.lower()
             t2 = time.perf_counter()
-            result.trace.to_payload()
-            lowered.to_payload()
-            t3 = time.perf_counter()
             entry = breakdown.setdefault(
                 kernel_name,
-                {"build_ms": 0.0, "lower_ms": 0.0, "serialize_ms": 0.0,
-                 "instructions": 0})
+                {"build_ms": 0.0, "lower_ms": 0.0, "instructions": 0})
             entry["build_ms"] += (t1 - t0) * 1e3
             entry["lower_ms"] += (t2 - t1) * 1e3
-            entry["serialize_ms"] += (t3 - t2) * 1e3
             entry["instructions"] += len(result.trace)
         return breakdown
 
     breakdown = benchmark.pedantic(phase_split, rounds=1, iterations=1)
     total_ms = 0.0
     for kernel_name, entry in breakdown.items():
-        for phase in ("build_ms", "lower_ms", "serialize_ms"):
+        for phase in ("build_ms", "lower_ms"):
             entry[phase] = round(entry[phase], 2)
             total_ms += entry[phase]
         benchmark.extra_info[kernel_name] = entry

@@ -1,14 +1,12 @@
 """Sweep-engine benchmarks: serial / parallel / warm-cache / warm-miss.
 
 The Figure 4 sweep (9 kernels x 4 ISAs x 4 widths = 144 points) is the
-reproduction's dominant cost; the engine attacks it three times over —
-process fan-out for cold runs, the content-addressed result cache for exact
-repeats, and the shared trace cache for *warm misses* (same kernel and
-workload, a machine configuration not seen before).  The warm-cache
-benchmark asserts the headline property of the result cache (zero
-simulations); the warm-miss benchmark asserts the headline property of the
-trace cache (zero functional builds) and that skipping the builds is a
-measurable win.
+reproduction's dominant cost; the engine attacks it twice over — process
+fan-out for cold runs, and the content-addressed result cache for exact
+repeats.  The warm-cache benchmark asserts the headline property of the
+result cache (zero simulations); the warm-miss benchmark asserts that a
+configuration the cache has not seen costs one build per distinct trace and
+no more than an uncached run.
 """
 
 from __future__ import annotations
@@ -194,13 +192,13 @@ def test_sweep_supervision_overhead(benchmark):
         f"({supervised_elapsed:.3f}s vs {plain_elapsed:.3f}s)")
 
 
-def test_sweep_warm_miss_trace_cache(benchmark, tmp_path):
-    """Warm-*miss* re-run: new machine configuration over cached traces.
+def test_sweep_warm_miss(benchmark, tmp_path):
+    """Warm-*miss* re-run: a new machine configuration over a warm cache dir.
 
-    Every point misses the result cache (the configuration is new) but hits
-    the trace cache, so zero functional builds run — the dominant warm-miss
-    cost is gone, and the sweep is measurably faster than the same sweep
-    with no cache at all.
+    Every point misses the result cache (the configuration is new), so each
+    distinct trace is built once and simulated, and the rows equal an
+    uncached run's.  The cache dir must not make the miss drastically
+    slower than no cache at all.
     """
     populate = figure4_sweep(kernels=_KERNELS, ways=_WAYS, spec=_SPEC)
     SweepEngine(jobs=1, cache_dir=str(tmp_path)).run(populate)
@@ -217,18 +215,15 @@ def test_sweep_warm_miss_trace_cache(benchmark, tmp_path):
 
     (results, engine) = benchmark.pedantic(warm_miss, rounds=1, iterations=1)
     assert engine.last_cached == 0, "a new config must miss the result cache"
-    assert engine.last_trace_builds == 0, "warm miss must do zero trace builds"
-    assert engine.last_trace_hits == len(results)
+    assert engine.last_simulated == len(results)
+    assert engine.last_trace_builds == len(_KERNELS) * 4, \
+        "a warm miss builds each distinct trace exactly once"
     assert [r.sim for r in results] == [r.sim for r in uncached_results]
 
     warm_elapsed = benchmark.stats.stats.mean
     benchmark.extra_info["uncached_s"] = round(uncached_elapsed, 4)
-    benchmark.extra_info["speedup_vs_uncached"] = round(
-        uncached_elapsed / warm_elapsed, 2)
-    # Block emission made cold builds cheap enough that deserialising the
-    # cached traces no longer reliably beats rebuilding them on sweeps this
-    # small — zero-builds above is the real functional guarantee.  Keep only
-    # a loose ceiling so a pathological cache overhead still fails.
+    benchmark.extra_info["ratio_vs_uncached"] = round(
+        warm_elapsed / uncached_elapsed, 2)
     assert warm_elapsed < uncached_elapsed * 4.0, (
-        "trace-cache warm miss should not be drastically slower than an "
-        f"uncached run ({warm_elapsed:.3f}s vs {uncached_elapsed:.3f}s)")
+        "a warm miss should not be drastically slower than an uncached run "
+        f"({warm_elapsed:.3f}s vs {uncached_elapsed:.3f}s)")

@@ -18,22 +18,19 @@ The same stack is scriptable from the shell; a typical session::
 
     $ python -m repro figure4 --jobs 4 --cache-dir .sweep-cache
     ... speed-up table ...
-    [sweep] 144 point(s) simulated, 0 from cache; 108 trace hit(s),
-    36 trace build(s) (.sweep-cache)
+    [sweep] 144 point(s) simulated, 0 from cache; 36 trace build(s) (.sweep-cache)
 
     $ python -m repro cache stats --cache-dir .sweep-cache
     cache root: .sweep-cache
-      results     144 entries, 215.3 KiB
-      traces       36 entries, 5.6 MiB
-      total       180 entries, 5.8 MiB
-      oldest entry: 0.0 day(s) old
+      results     144 entries, 236.4 KiB
+      least recently used entry: 0.0 day(s) ago
 
-    $ python -m repro cache gc --cache-dir .sweep-cache --max-mb 4
-    evicted 9 entries (2.1 MiB freed); 171 kept (3.7 MiB)
+    $ python -m repro cache gc --cache-dir .sweep-cache --max-mb 0.1
+    evicted 82 entries (135.6 KiB freed); 62 kept (100.8 KiB)
 
-(each kernel's trace is built once for its first machine configuration and
-served from the trace cache for the other three widths — and by any warm
-re-run, in any process, until ``repro cache gc``/``clear`` evicts it).
+(each kernel's trace is built once per ISA and shared by all four widths;
+a warm re-run is served whole from the result cache — zero simulations
+and zero trace builds — until ``repro cache gc``/``clear`` evicts it).
 """
 
 from __future__ import annotations

@@ -3,7 +3,7 @@
 
 Runs the full kernel x ISA grid exactly the way a cold sweep does —
 ``run_variant`` (functional execution + emission) followed by ``lower()``
-and both cache payloads — under :mod:`cProfile`, and prints the top-N
+— under :mod:`cProfile`, and prints the top-N
 functions by cumulative time.  This is the ladder-work tool: after each
 front-end optimisation, re-run it to see where the next bottleneck lands.
 
@@ -27,7 +27,7 @@ import time
 
 
 def build_grid(kernels, isas) -> tuple[int, int]:
-    """One cold build of the grid: emit + lower + serialize per point."""
+    """One cold build of the grid: emit + lower per point."""
     from repro.kernels.registry import KERNELS
 
     points = 0
@@ -36,9 +36,7 @@ def build_grid(kernels, isas) -> tuple[int, int]:
         kernel = KERNELS[kernel_name]
         for isa in isas:
             result = kernel.run_variant(isa)
-            lowered = result.trace.lower()
-            result.trace.to_payload()
-            lowered.to_payload()
+            result.trace.lower()
             points += 1
             instructions += len(result.trace)
     return points, instructions

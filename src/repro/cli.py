@@ -9,8 +9,8 @@ The CLI exposes the experiment drivers without writing any Python:
 * ``tables``   — regenerate the Tables 1-9 breakdowns.
 * ``sweep``    — run an arbitrary kernels x ISAs x widths x latencies sweep
   through the shared engine.
-* ``cache``    — inspect / garbage-collect / clear the on-disk caches
-  (``repro cache stats|gc|clear --cache-dir DIR``).
+* ``cache``    — inspect / garbage-collect / clear the on-disk result
+  cache (``repro cache stats|gc|clear --cache-dir DIR``).
 * ``serve``    — run the crash-tolerant HTTP sweep service on a durable
   ``--state-dir``: journal-backed recovery after a kill, idempotent
   submissions, a bounded queue with backpressure, per-job deadlines and
@@ -23,8 +23,9 @@ The CLI exposes the experiment drivers without writing any Python:
   (``~/.cache/repro/calibration.json`` or ``$REPRO_CALIBRATION``).
 
 Every sweep-backed command accepts ``--jobs N`` (process-parallel
-execution), ``--cache-dir DIR`` (on-disk result + trace caches; warm
-re-runs do zero simulations, warm *misses* do zero trace builds),
+execution), ``--cache-dir DIR`` (on-disk result cache; warm re-runs do
+zero simulations and zero trace builds; a directory that cannot be
+created or written is rejected up front with exit code 2),
 ``--result-store {json,sqlite}`` (layout of the result cache under
 ``--cache-dir``: one JSON file per point, or one SQLite database per
 cache root), ``--stream-jsonl PATH`` (append one JSON line per point as
@@ -75,8 +76,9 @@ from repro.experiments.runner import run_kernel_all_isas
 from repro.experiments.tables import TABLE_NUMBERS, run_breakdown_tables
 from repro.kernels.base import ISA_VARIANTS
 from repro.kernels.registry import KERNELS, kernel_names
-from repro.sweep import (RESULT_STORES, PointResult, SweepEngine, SweepPoint,
-                         cache_stats, clear_cache, gc_cache, resolve_spec)
+from repro.sweep import (RESULT_STORES, CacheDirError, PointResult,
+                         SweepEngine, SweepPoint, cache_stats, clear_cache,
+                         gc_cache, resolve_spec)
 from repro.timing.config import MachineConfig
 from repro.timing.dispatch import BACKENDS
 from repro.workloads.generators import WorkloadSpec
@@ -101,8 +103,8 @@ def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
                         help="worker processes for the sweep engine "
                              "(default 1 = serial in-process)")
     parser.add_argument("--cache-dir", default=None,
-                        help="directory for the on-disk result + trace "
-                             "caches (default: no caching)")
+                        help="directory for the on-disk result cache "
+                             "(default: no caching)")
     parser.add_argument("--result-store", default="json",
                         choices=list(RESULT_STORES),
                         help="result-cache layout under --cache-dir: one "
@@ -176,9 +178,8 @@ def engine_summary(engine: SweepEngine) -> str:
         summary += f", {len(engine.last_failures)} failed"
         if engine.last_quarantined:
             summary += f" ({engine.last_quarantined} quarantined)"
-    if engine.trace_cache is not None:
-        summary += (f"; {engine.last_trace_hits} trace hit(s), "
-                    f"{engine.last_trace_builds} trace build(s)")
+    if engine.cache is not None:
+        summary += f"; {engine.last_trace_builds} trace build(s)"
     if engine.last_retries or engine.last_pool_restarts or engine.last_timeouts:
         summary += (f"; supervision: {engine.last_retries} retr"
                     f"{'y' if engine.last_retries == 1 else 'ies'}, "
@@ -281,7 +282,6 @@ def make_on_result(args: argparse.Namespace, total: int,
                 "mem_latency": result.point.config.mem_latency,
                 "cached": result.cached,
                 "journaled": result.journaled,
-                "trace_cached": result.trace_cached,
                 # Cumulative simulated-instruction throughput of the sweep
                 # at the moment this point completed (0 while everything
                 # is still coming from the result cache).
@@ -412,8 +412,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="worker processes per job's engine run "
                               "(default 1 = serial in-process)")
     serve_p.add_argument("--cache-dir", default=None,
-                         help="result + trace cache root shared by every "
-                              "job (default: no caching)")
+                         help="result cache root shared by every job "
+                              "(default: no caching)")
     serve_p.add_argument("--result-store", default="json",
                          choices=list(RESULT_STORES),
                          help="result-cache layout under --cache-dir")
@@ -493,7 +493,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "stdout")
 
     cache_p = sub.add_parser(
-        "cache", help="inspect or prune the on-disk result/trace caches")
+        "cache", help="inspect or prune the on-disk result cache")
     cache_sub = cache_p.add_subparsers(dest="cache_command", required=True)
     for name, help_text in (("stats", "show entry counts and sizes"),
                             ("gc", "evict entries by age and/or total size"),
@@ -513,12 +513,6 @@ def build_parser() -> argparse.ArgumentParser:
             sub_p.add_argument("--max-age-days", type=float, default=None,
                                help="evict entries unused for more than this "
                                     "many days")
-            sub_p.add_argument("--keep-traces", action="store_true",
-                               help="never evict trace entries (prune "
-                                    "results only)")
-            sub_p.add_argument("--keep-results", action="store_true",
-                               help="never evict result entries (prune "
-                                    "traces only)")
 
     return parser
 
@@ -817,19 +811,12 @@ def _cmd_cache(args: argparse.Namespace) -> int:
             print(json.dumps(stats.to_dict(), indent=2, sort_keys=True))
             return 0
         print(f"cache root: {stats.cache_dir}")
-        for section in ("results", "traces"):
-            print(f"  {section:8s} {stats.entries[section]:6d} entr"
-                  f"{'y' if stats.entries[section] == 1 else 'ies'}, "
-                  f"{_format_bytes(stats.bytes[section])}")
-        print(f"  total    {stats.total_entries:6d} entr"
+        print(f"  results  {stats.total_entries:6d} entr"
               f"{'y' if stats.total_entries == 1 else 'ies'}, "
               f"{_format_bytes(stats.total_bytes)}")
         if stats.sqlite_entries:
             print(f"  of the results, {stats.sqlite_entries} row(s) in "
                   f"results.db (sqlite store)")
-        if stats.entries["traces"]:
-            print(f"  lowered payloads: {stats.lowered_entries} current, "
-                  f"{stats.stale_lowered_entries} stale/absent")
         if stats.tmp_files:
             print(f"  orphaned temp files: {stats.tmp_files} "
                   f"({_format_bytes(stats.tmp_bytes)}), "
@@ -846,10 +833,8 @@ def _cmd_cache(args: argparse.Namespace) -> int:
                      if args.max_mb is not None else None)
         max_age = (args.max_age_days * 86400
                    if args.max_age_days is not None else None)
-        keep = ([] if not args.keep_traces else ["traces"]) + (
-            [] if not args.keep_results else ["results"])
         report = gc_cache(args.cache_dir, max_bytes=max_bytes,
-                          max_age_seconds=max_age, keep=keep)
+                          max_age_seconds=max_age)
         print(f"evicted {report.removed} entr"
               f"{'y' if report.removed == 1 else 'ies'} "
               f"({_format_bytes(report.bytes_freed)} freed); "
@@ -955,12 +940,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     both without a traceback, both after the streaming sinks closed at a
     record boundary.  When the interrupted command carried ``--resume``,
     every completed point is already in the journal and the exit message
-    says how to pick up.
+    says how to pick up.  An unusable ``--cache-dir`` is a usage error:
+    one line on stderr and exit code 2, like argparse's own errors.
     """
     args = build_parser().parse_args(argv)
     try:
         with _sigterm_raises():
             return _dispatch(args)
+    except CacheDirError as exc:
+        print(f"repro: error: {exc}", file=sys.stderr)
+        return 2
     except KeyboardInterrupt:
         _print_interrupt(args, "interrupted")
         return 130

@@ -34,9 +34,10 @@ __all__ = [
 
 #: Version tag of the functional front end's *emitted instruction streams*.
 #: Bump whenever a builder or kernel change can alter the trace produced for
-#: any (kernel, ISA, workload) — the trace cache folds this into every key,
-#: so a bump invalidates all cached traces.  Pure refactors that keep every
-#: emitted stream identical must NOT bump it.
+#: any (kernel, ISA, workload) — the result cache folds this into every key
+#: (:func:`repro.sweep.cache.point_key`), so a bump invalidates all cached
+#: results.  Pure refactors that keep every emitted stream identical must
+#: NOT bump it.
 BUILDER_VERSION = "1"
 
 #: Map from ISA name to builder class, in the order the paper reports them.

@@ -12,8 +12,9 @@ The sweep subsystem is the shared engine behind every experiment driver
 * :class:`~repro.sweep.cache.ResultCache` /
   :class:`~repro.sweep.sqlite_store.SQLiteResultStore` — content-addressed
   storage of simulation results keyed by a stable hash of (kernel, ISA,
-  machine configuration, workload spec, timing-model version), as one JSON
-  file per point or one SQLite database per cache root
+  machine configuration, workload spec, timing-model and front-end
+  versions), as one JSON file per point or one SQLite database per cache
+  root
   (:func:`~repro.sweep.cache.make_result_store` picks by name);
 * :class:`~repro.sweep.journal.SweepJournal` — a write-ahead JSONL journal
   of completed points enabling crash-safe, resumable sweeps
@@ -25,10 +26,7 @@ The sweep subsystem is the shared engine behind every experiment driver
   :class:`~repro.sweep.supervisor.PointFailure` records;
 * :mod:`~repro.sweep.faults` — the deterministic fault-injection harness
   (``REPRO_FAULT_INJECT``) that makes all of the above testable;
-* :class:`~repro.sweep.tracecache.TraceCache` — content-addressed storage of
-  serialized functional traces keyed by (kernel, ISA, workload spec,
-  builder version), shared by the parent and every worker process;
-* :mod:`~repro.sweep.manage` — stats / GC / clear over all stores
+* :mod:`~repro.sweep.manage` — stats / GC / clear over the result stores
   (``repro cache`` on the command line);
 * :class:`~repro.sweep.service.SweepService` /
   :class:`~repro.sweep.client.ServiceClient` — the crash-tolerant HTTP
@@ -42,7 +40,8 @@ See ``docs/sweep-engine.md`` for the full guide.
 from repro.sweep.cache import (RESULT_STORES, ResultCache, make_result_store,
                                point_key)
 from repro.sweep.client import ServiceClient, ServiceError
-from repro.sweep.engine import PointResult, SweepEngine, ensure_engine
+from repro.sweep.engine import (CacheDirError, PointResult, SweepEngine,
+                                ensure_engine)
 from repro.sweep.faults import FAULT_ENV, FaultPlan, FaultRule, InjectedFault
 from repro.sweep.journal import (JournalLockedError, SweepJournal,
                                  read_jsonl)
@@ -55,9 +54,9 @@ from repro.sweep.spec import SweepPoint, SweepSpec, resolve_spec
 from repro.sweep.sqlite_store import SQLiteResultStore
 from repro.sweep.supervisor import (PointFailure, PoolSupervisor,
                                     SupervisorPolicy)
-from repro.sweep.tracecache import TraceCache, trace_key
 
 __all__ = [
+    "CacheDirError",
     "CacheStats",
     "FAULT_ENV",
     "FaultPlan",
@@ -81,7 +80,6 @@ __all__ = [
     "SweepPoint",
     "SweepService",
     "SweepSpec",
-    "TraceCache",
     "UnknownJob",
     "cache_stats",
     "clear_cache",
@@ -94,5 +92,4 @@ __all__ = [
     "read_jsonl",
     "resolve_spec",
     "submission_points",
-    "trace_key",
 ]

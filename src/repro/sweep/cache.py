@@ -2,11 +2,13 @@
 
 Each cached entry is one JSON file named by a stable SHA-256 hash of the
 fully-resolved point description: kernel, ISA, every machine-configuration
-field (including the per-opclass latency table), the workload spec and the
-timing-model version.  Any change to any of those — including bumping
-:data:`repro.timing.core.MODEL_VERSION` when the timing model's numbers
-change — therefore produces a different key and a clean cache miss; stale
-results can never be returned.
+field (including the per-opclass latency table), the workload spec, the
+timing-model version and the front-end version.  Any change to any of
+those — including bumping :data:`repro.timing.core.MODEL_VERSION` when the
+timing model's numbers change, or
+:data:`repro.frontend.builders.BUILDER_VERSION` when an emitted
+instruction stream changes — therefore produces a different key and a
+clean cache miss; stale results can never be returned.
 
 Layout::
 
@@ -15,9 +17,8 @@ Layout::
 The two-character fan-out keeps directories small for big sweeps.  Entries
 store the :class:`~repro.timing.results.SimResult` and the
 :class:`~repro.trace.stats.TraceStats` of the run (everything the experiment
-reducers need) — not the trace itself, which lives in its own store under
-``<cache_dir>/traces/`` (see :mod:`repro.sweep.tracecache`) keyed only by
-what the front end sees.  :mod:`repro.sweep.manage` administers both stores
+reducers need), not the trace itself: a trace is rebuilt whenever a point
+misses.  :mod:`repro.sweep.manage` administers the store
 (``repro cache stats|gc|clear``).
 """
 
@@ -33,6 +34,7 @@ from typing import Any, Dict, Optional
 from repro.common.atomicio import (atomic_write_json, quarantine_corrupt,
                                    stamp_checksum, verify_checksum)
 
+from repro.frontend.builders import BUILDER_VERSION
 from repro.isa.opclasses import OpClass
 from repro.timing.config import MachineConfig
 from repro.timing.core import MODEL_VERSION
@@ -83,11 +85,14 @@ def point_key(point: SweepPoint, version: Optional[str] = None) -> str:
     """Stable content hash of a (resolved) sweep point.
 
     ``version`` defaults to the current timing-model version; tests override
-    it to exercise cache invalidation.
+    it to exercise cache invalidation.  The front end's
+    :data:`~repro.frontend.builders.BUILDER_VERSION` is folded in too, so a
+    change to any emitted instruction stream misses every cached result.
     """
     point = point.resolved()
     spec = point.spec
     payload = {
+        "builder_version": BUILDER_VERSION,
         "model_version": version if version is not None else MODEL_VERSION,
         "kernel": point.kernel,
         "isa": point.isa,

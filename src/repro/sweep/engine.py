@@ -11,10 +11,7 @@ points get executed:
 * optionally backed by an on-disk result store — the one-file-per-point
   :class:`~repro.sweep.cache.ResultCache` or the single-database
   :class:`~repro.sweep.sqlite_store.SQLiteResultStore` (re-running a sweep
-  whose points are already cached does zero simulations) — and an on-disk
-  :class:`~repro.sweep.tracecache.TraceCache` (a point whose *result*
-  misses but whose functional trace is cached skips the dominant
-  trace-rebuild cost — in every process, parent or worker),
+  whose points are already cached does zero simulations),
 * optionally journaled: with a write-ahead
   :class:`~repro.sweep.journal.SweepJournal` every completed point is
   appended durably as it lands, and a restarted sweep replays the journal
@@ -23,18 +20,17 @@ points get executed:
 
 Points are executed in **trace batches**: the points left after the result-
 cache scan are grouped by trace identity (kernel, ISA, workload), and each
-group acquires its functional trace exactly once — from the trace cache or
-one front-end build — lowers it once
+group builds its functional trace exactly once, in the process that
+simulates it, lowers it once
 (:meth:`~repro.trace.container.Trace.lower`) and simulates every machine
 configuration in the group off the shared
-:class:`~repro.timing.lowered.LoweredTrace`.  A cold build is an array
-program end to end: the builders emit into flat columns, the lowering is
-a zero-copy adoption of those columns, the cached payload serializes from
-them and the group's trace statistics are computed column-natively — no
-per-instruction Python objects exist anywhere on the path.  Under a worker pool one group
-is one task, so no two workers ever build the same trace concurrently (the
-old cold-cache duplicate-build race is gone by construction), and the
-build/lowering cost is amortised to ~zero per point.
+:class:`~repro.timing.lowered.LoweredTrace`.  A build is an array program
+end to end: the builders emit into flat columns, the lowering is a
+zero-copy adoption of those columns and the group's trace statistics are
+computed column-natively — no per-instruction Python objects exist
+anywhere on the path.  Under a worker pool one group is one task, so no
+two workers ever build the same trace, and the build/lowering cost is
+amortised over the group's points.
 
 Results stream: :meth:`SweepEngine.iter_results` yields each
 :class:`PointResult` the moment it completes (cache hits first, then
@@ -74,12 +70,10 @@ from repro.sweep.spec import SweepPoint, SweepSpec
 from repro.sweep.supervisor import (POOL_INFRA_ERRORS, PointFailure,
                                     PoolSupervisor, SupervisorPolicy,
                                     policy_with_overrides)
-from repro.sweep.tracecache import TRACE_SUBDIR, TraceCache
 from repro.timing.results import SimResult
-from repro.trace.container import Trace
 from repro.trace.stats import TraceStats
 
-__all__ = ["PointResult", "SweepEngine", "ensure_engine"]
+__all__ = ["CacheDirError", "PointResult", "SweepEngine", "ensure_engine"]
 
 #: Exceptions that count as pool *infrastructure* failures (retried with
 #: pool respawns, then degraded to the serial path — never a failed
@@ -111,18 +105,15 @@ class PointResult:
         True when the result was replayed from a write-ahead
         :class:`~repro.sweep.journal.SweepJournal` (a resumed sweep; no
         simulation ran and the result cache was not consulted).
-    trace_cached:
-        True when the simulation ran but its functional trace came from the
-        trace cache (no front-end build ran).
     build:
         The functional build (trace plus verified outputs); only present for
-        fresh in-process runs with ``keep_builds=True`` — cached, trace-cached
-        and worker-pool results carry ``None``.
+        fresh in-process runs with ``keep_builds=True`` — cached and
+        worker-pool results carry ``None``.
     checked:
         Whether this result is backed by a golden-reference verification:
         either this run checked the build, or the cache entry it came from
-        was written by a checking run (both caches only ever admit verified
-        work).
+        was written by a checking run (the result cache only ever admits
+        verified work).
     index:
         Position of the point in the sweep's deterministic expansion order;
         lets streaming consumers reassemble barrier order.
@@ -139,7 +130,6 @@ class PointResult:
     stats: Optional[TraceStats] = None
     cached: bool = False
     journaled: bool = False
-    trace_cached: bool = False
     build: Optional[object] = None
     checked: bool = True
     index: int = -1
@@ -180,13 +170,27 @@ class PointResult:
         return self.checked
 
 
-def _trace_identity(point: SweepPoint) -> Tuple[str, str, int, int]:
-    """Grouping key of the functional trace behind a (resolved) point.
+class CacheDirError(ValueError):
+    """The engine's ``cache_dir`` cannot be created or written."""
 
-    Mirrors :func:`~repro.sweep.tracecache.trace_key` minus the builder
-    version (constant within one process): two points with equal identity
-    are simulated off one shared trace/lowering.
-    """
+
+def ensure_cache_dir(cache_dir: str) -> None:
+    """Create ``cache_dir`` if needed; raise :class:`CacheDirError` when it
+    is unusable, so a bad path fails once, up front, not per point."""
+    try:
+        os.makedirs(cache_dir, exist_ok=True)
+    except OSError as exc:
+        raise CacheDirError(f"cache directory {cache_dir!r} cannot be "
+                            f"created: {exc.strerror or exc}") from None
+    if not os.access(cache_dir, os.W_OK | os.X_OK):
+        raise CacheDirError(f"cache directory {cache_dir!r} is not "
+                            f"writable")
+
+
+def _trace_identity(point: SweepPoint) -> Tuple[str, str, int, int]:
+    """Grouping key of the functional trace behind a (resolved) point:
+    two points with equal identity are simulated off one shared
+    trace/lowering."""
     return (point.kernel, point.isa, point.spec.scale, point.spec.seed)
 
 
@@ -199,43 +203,21 @@ def _group_by_trace(points: Sequence[SweepPoint],
     return list(groups.values())
 
 
-def _acquire_trace(point: SweepPoint, check: bool,
-                   trace_cache: Optional[TraceCache]) -> Tuple[Trace, bool]:
-    """Fetch the point's functional trace from the cache or build it once.
-
-    Returns ``(trace, from_cache)``.  A fresh verified build stores its
-    trace (with the lowered payload) for every later run and worker —
-    mirroring the result cache's rule that only verified work is admitted.
-    """
-    # Local import: avoids a cycle with the experiments layer, which
-    # imports the engine.
-    from repro.experiments.runner import build_kernel_variant
-
-    if trace_cache is not None:
-        trace = trace_cache.get(point)
-        if trace is not None:
-            return trace, True
-    build = build_kernel_variant(point.kernel, point.isa, spec=point.spec,
-                                 check=check)
-    if trace_cache is not None and check:
-        trace_cache.put(point, build.trace)
-    return build.trace, False
-
-
 def _simulate_group(points: Sequence[SweepPoint], check: bool,
-                    trace_cache: Optional[TraceCache],
                     backend: str = "auto",
-                    ) -> Tuple[List[Tuple[SimResult, TraceStats, bool]],
-                               int, Tuple[int, str]]:
+                    ) -> Tuple[List[Tuple[SimResult, TraceStats]],
+                               Tuple[int, str]]:
     """Run one trace-sharing group of resolved points in this process.
 
-    The trace is acquired once and lowered once; every configuration in
-    the group is simulated off the shared flat arrays through the timing
+    The trace is built once and lowered once; every configuration in the
+    group is simulated off the shared flat arrays through the timing
     package's batch dispatch (``backend`` selects object/lowered/vector;
     ``auto`` picks the vector array program for large groups).  Returns
-    the per-point ``(sim, stats, trace_cached)`` rows, how many front-end
-    builds ran (0 or 1), and the group's ``(size, executed backend)``.
+    the per-point ``(sim, stats)`` rows and the group's ``(size, executed
+    backend)``.
     """
+    # Local imports: the experiments layer imports the engine.
+    from repro.experiments.runner import build_kernel_variant
     from repro.timing.dispatch import resolve_execution, simulate_batch
     from repro.trace.stats import summarize_trace
 
@@ -244,13 +226,14 @@ def _simulate_group(points: Sequence[SweepPoint], check: bool,
     # simulation work, in the process that would execute it.
     for point in points:
         faults.fire_faults(point)
-    trace, from_cache = _acquire_trace(points[0], check, trace_cache)
+    point = points[0]
+    trace = build_kernel_variant(point.kernel, point.isa, spec=point.spec,
+                                 check=check).trace
     stats = summarize_trace(trace)
     sims = simulate_batch(trace, [p.config for p in points], backend=backend)
-    rows = [(sim, stats, from_cache) for sim in sims]
     execution = (len(points),
                  resolve_execution(backend, len(points), len(trace)))
-    return rows, 0 if from_cache else 1, execution
+    return [(sim, stats) for sim in sims], execution
 
 
 def _simulate_point_with_build(point: SweepPoint, check: bool,
@@ -258,8 +241,7 @@ def _simulate_point_with_build(point: SweepPoint, check: bool,
     """Run one resolved point keeping its functional build (serial only).
 
     Builds hold traces and NumPy arrays that should not be shipped between
-    processes, and a cached trace carries no outputs to retain — so this
-    path always builds, bypassing the trace cache for reads.
+    processes, so this path only runs in-process.
     """
     from repro.experiments.runner import run_kernel
 
@@ -268,21 +250,18 @@ def _simulate_point_with_build(point: SweepPoint, check: bool,
     return run.sim, run.stats, run.build
 
 
-def _pool_worker(args: Tuple[Tuple[SweepPoint, ...], bool, Optional[str],
-                             str]
-                 ) -> Tuple[List[Tuple[SimResult, TraceStats, bool]], int,
+def _pool_worker(args: Tuple[Tuple[SweepPoint, ...], bool, str]
+                 ) -> Tuple[List[Tuple[SimResult, TraceStats]],
                             Tuple[int, str]]:
     """Top-level (picklable) worker for the process pool: one trace group.
 
     The functional build and the lowered trace stay in the worker — only
-    the compact result rows (and whether the trace came from the shared
-    on-disk cache, plus the build count and backend execution record)
-    travel back to the parent.
+    the compact result rows and the backend execution record travel back
+    to the parent.
     """
     faults.mark_worker()
-    points, check, trace_dir, backend = args
-    trace_cache = TraceCache(trace_dir) if trace_dir else None
-    return _simulate_group(points, check, trace_cache, backend)
+    points, check, backend = args
+    return _simulate_group(points, check, backend)
 
 
 class SweepEngine:
@@ -294,22 +273,15 @@ class SweepEngine:
         Worker-process count.  ``jobs <= 1`` selects the deterministic
         in-process path; ``jobs > 1`` uses a ``ProcessPoolExecutor``.
     cache_dir:
-        Root directory for the on-disk caches; ``None`` disables both.
-        Results live at ``<cache_dir>/<key[:2]>/<key>.json`` and serialized
-        traces under ``<cache_dir>/traces/``.
+        Root directory of the on-disk result store; ``None`` disables it.
+        Created if missing; a path that cannot be created or written raises
+        :class:`CacheDirError` here rather than failing point by point.
     check:
         Verify every build against its NumPy golden reference (default on;
         a run with wrong functional output never produces timing numbers).
     version:
         Timing-model version for result-cache keys (tests override this to
-        exercise invalidation); defaults to the live model version.  The
-        trace cache is *not* keyed on it — traces are configuration- and
-        model-independent.
-    trace_cache:
-        Trace-cache control: ``None`` (default) derives
-        ``<cache_dir>/traces`` when ``cache_dir`` is set, a string selects
-        an explicit directory, and ``False`` disables trace caching even
-        with a ``cache_dir``.
+        exercise invalidation); defaults to the live model version.
     backend:
         Timing backend for the group simulations, one of
         :data:`~repro.timing.dispatch.BACKENDS` (default ``"auto"``:
@@ -352,7 +324,6 @@ class SweepEngine:
 
     def __init__(self, jobs: int = 1, cache_dir: Optional[str] = None,
                  check: bool = True, version: Optional[str] = None,
-                 trace_cache: Union[None, bool, str] = None,
                  backend: str = "auto", result_store: str = "json",
                  journal: Union[None, str, SweepJournal] = None,
                  task_timeout: Optional[float] = None,
@@ -377,16 +348,14 @@ class SweepEngine:
         self.resume_failed = resume_failed
         self.jobs = max(1, int(jobs))
         self._version = version
+        if cache_dir:
+            ensure_cache_dir(cache_dir)
         self.cache = (make_result_store(result_store, cache_dir,
                                         version=version)
                       if cache_dir else None)
         if isinstance(journal, (str, os.PathLike)):
             journal = SweepJournal(journal)
         self.journal = journal
-        if trace_cache is None:
-            trace_cache = (os.path.join(cache_dir, TRACE_SUBDIR)
-                           if cache_dir else False)
-        self.trace_cache = (TraceCache(trace_cache) if trace_cache else None)
         self.check = check
         #: Number of points actually simulated by the most recent run.
         self.last_simulated = 0
@@ -395,16 +364,14 @@ class SweepEngine:
         #: Number of points replayed from the write-ahead journal by the
         #: most recent run (a resumed sweep; zero without a journal).
         self.last_journaled = 0
-        #: Of the simulated points, how many got their trace from the cache.
-        self.last_trace_hits = 0
         #: Front-end builds the most recent run executed.  Points sharing a
-        #: trace are batched, so this counts *distinct traces built* — with
-        #: a warm trace cache it is zero, and it never exceeds the number of
-        #: distinct (kernel, ISA, workload) combinations in the sweep.
+        #: trace are batched, so this counts *distinct traces built*: zero
+        #: when every point came from the result cache or the journal, and
+        #: never more than the distinct (kernel, ISA, workload)
+        #: combinations in the sweep.
         self.last_trace_builds = 0
         #: Tasks the most recent run submitted to the worker pool (0 when
-        #: everything ran serially).  Usually the number of trace groups;
-        #: larger when warm groups were split to keep the pool busy.
+        #: everything ran serially): one per trace group.
         self.last_pool_tasks = 0
         #: Why the most recent run fell back to serial execution (if it did).
         self.last_fallback_reason: Optional[str] = None
@@ -447,8 +414,8 @@ class SweepEngine:
         keep_builds:
             Retain the functional builds on the results; forces the
             in-process path (builds hold traces and NumPy arrays that should
-            not be shipped between processes) and bypasses both caches for
-            reads.
+            not be shipped between processes) and bypasses the result cache
+            for reads.
         on_result:
             Optional callback invoked with each :class:`PointResult` as it
             completes (completion order, not expansion order) — the barrier
@@ -494,7 +461,6 @@ class SweepEngine:
         self.last_simulated = 0
         self.last_cached = 0
         self.last_journaled = 0
-        self.last_trace_hits = 0
         self.last_trace_builds = 0
         self.last_pool_tasks = 0
         self.last_fallback_reason = None
@@ -606,8 +572,8 @@ class SweepEngine:
                      keep_builds: bool) -> Iterator[PointResult]:
         """Yield the remaining points' results, simulated in this process.
 
-        Points are batched by trace identity — one trace acquisition and
-        one lowering per group, then one batch simulation through the
+        Points are batched by trace identity — one trace build and one
+        lowering per group, then one batch simulation through the
         timing dispatch (all of a group's configurations at once, so the
         vector backend can amortise the instruction walk), yielded one
         point at a time.  The generator stays lazy at group granularity:
@@ -624,30 +590,24 @@ class SweepEngine:
                     points[i], self.check)
                 remaining.discard(i)
                 self.last_trace_builds += 1
-                # keep_builds bypasses both caches for *reads*, but a fresh
-                # verified trace is still published for later sweeps.
-                if self.trace_cache is not None and self.check:
-                    self.trace_cache.put(points[i], build.trace)
                 yield PointResult(point=points[i], sim=sim, stats=stats,
                                   build=build, checked=self.check, index=i)
             return
 
         for group in _group_by_trace(points, sorted(remaining)):
             try:
-                rows, builds, execution = _simulate_group(
-                    [points[i] for i in group], self.check, self.trace_cache,
-                    self.backend)
+                rows, execution = _simulate_group(
+                    [points[i] for i in group], self.check, self.backend)
             except Exception:
                 yield from self._isolate_serial_group(points, group,
                                                       remaining)
                 continue
-            self.last_trace_builds += builds
+            self.last_trace_builds += 1
             self.last_batches.append(execution)
-            for i, (sim, stats, from_cache) in zip(group, rows):
+            for i, (sim, stats) in zip(group, rows):
                 remaining.discard(i)
                 yield PointResult(point=points[i], sim=sim, stats=stats,
-                                  trace_cached=from_cache,
-                                  checked=self.check or from_cache, index=i)
+                                  checked=self.check, index=i)
 
     def _isolate_serial_group(self, points: Sequence[SweepPoint],
                               group: Sequence[int],
@@ -662,8 +622,8 @@ class SweepEngine:
         for i in group:
             self.last_retries += 1
             try:
-                rows, builds, execution = _simulate_group(
-                    [points[i]], self.check, self.trace_cache, self.backend)
+                rows, execution = _simulate_group(
+                    [points[i]], self.check, self.backend)
             except Exception as exc:
                 remaining.discard(i)
                 point = points[i]
@@ -675,13 +635,12 @@ class SweepEngine:
                         error_type=type(exc).__name__, message=str(exc),
                         phase="serial", attempts=2))
                 continue
-            self.last_trace_builds += builds
+            self.last_trace_builds += 1
             self.last_batches.append(execution)
-            sim, stats, from_cache = rows[0]
+            sim, stats = rows[0]
             remaining.discard(i)
             yield PointResult(point=points[i], sim=sim, stats=stats,
-                              trace_cached=from_cache,
-                              checked=self.check or from_cache, index=i)
+                              checked=self.check, index=i)
 
     def _record(self, result: PointResult) -> PointResult:
         """Account for one fresh (non-result-cached) result and cache it."""
@@ -691,8 +650,6 @@ class SweepEngine:
                 self.last_quarantined += 1
             return result
         self.last_simulated += 1
-        if result.trace_cached:
-            self.last_trace_hits += 1
         # Only verified results may enter the cache: entries carry no
         # "unchecked" marker, so a check=False run must not poison the
         # cache for later check=True engines.
@@ -700,47 +657,15 @@ class SweepEngine:
             self.cache.put(result.point, result.sim, result.stats)
         return result
 
-    def _split_warm_groups(self, groups: List[List[int]],
-                           points: Sequence[SweepPoint]) -> List[List[int]]:
-        """Split cached-trace groups so the pool has ~``jobs`` tasks.
-
-        Only groups whose trace entry already exists on disk are split —
-        their chunks all read the cache, so no front-end build can be
-        duplicated.  A cold group stays whole (one build, exactly once).
-        The rare race where an entry is evicted between this probe and the
-        worker's read degrades to a rebuild per chunk — the pre-batching
-        behaviour, a performance blip, never a correctness issue.
-        """
-        chunks_per_group = -(-self.jobs // len(groups))  # ceil
-        if chunks_per_group < 2:
-            return groups
-        out: List[List[int]] = []
-        for group in groups:
-            if (len(group) < 2
-                    or not os.path.exists(
-                        self.trace_cache.path_for(points[group[0]]))):
-                out.append(group)
-                continue
-            size = -(-len(group) // min(len(group), chunks_per_group))
-            out.extend(group[j:j + size]
-                       for j in range(0, len(group), size))
-        return out
-
     def _iter_pool(self, points: Sequence[SweepPoint],
                    remaining: Set[int]) -> Iterator[PointResult]:
         """Yield pool-computed results, discarding their indices from
         ``remaining`` as they land.
 
-        One submitted task is normally one *trace group* (see module
-        docstring): the worker acquires and lowers the group's trace once
-        and simulates all of its configurations, so each distinct trace is
-        built at most once across the whole pool — duplicate concurrent
-        builds of the same trace cannot happen.  When that would leave the
-        pool under-subscribed (fewer groups than workers — the shape of a
-        config-heavy ablation sweep), groups whose trace is already on disk
-        are split into smaller tasks: every chunk is a pure cache read, so
-        the build-once guarantee is unaffected and the simulations spread
-        across the pool.
+        One submitted task is one *trace group* (see module docstring): the
+        worker builds and lowers the group's trace once and simulates all
+        of its configurations, so each distinct trace is built at most once
+        across the whole pool.
 
         Execution is supervised (:class:`~repro.sweep.supervisor
         .PoolSupervisor`): infrastructure failures respawn the pool with
@@ -752,17 +677,13 @@ class SweepEngine:
         unfinished indices still in ``remaining``, for the caller's serial
         path to finish.
         """
-        trace_dir = (self.trace_cache.cache_dir
-                     if self.trace_cache is not None else None)
         groups = _group_by_trace(points, sorted(remaining))
-        if self.trace_cache is not None and len(groups) < self.jobs:
-            groups = self._split_warm_groups(groups, points)
         self.last_pool_tasks = len(groups)
         workers = min(self.jobs, len(groups), (os.cpu_count() or 1) * 4)
 
         def make_args(indices: Sequence[int]) -> tuple:
             return (tuple(points[i] for i in indices), self.check,
-                    trace_dir, self.backend)
+                    self.backend)
 
         supervisor = PoolSupervisor(
             points, groups, make_args, _pool_worker, workers,
@@ -787,15 +708,13 @@ class SweepEngine:
                                       index=failure.index)
                     continue
                 indices = payload
-                rows, builds, execution = extra
-                self.last_trace_builds += builds
+                rows, execution = extra
+                self.last_trace_builds += 1
                 self.last_batches.append(execution)
-                for i, (sim, stats, trace_cached) in zip(indices, rows):
+                for i, (sim, stats) in zip(indices, rows):
                     remaining.discard(i)
                     yield PointResult(point=points[i], sim=sim, stats=stats,
-                                      trace_cached=trace_cached,
-                                      checked=self.check or trace_cached,
-                                      index=i)
+                                      checked=self.check, index=i)
         finally:
             # Runs on normal completion, on fallback, and — crucially — when
             # the consumer closes the generator early (GeneratorExit at a

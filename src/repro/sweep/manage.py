@@ -1,20 +1,19 @@
-"""Management of the on-disk sweep caches: stats, eviction (GC), clearing.
+"""Management of the on-disk result cache: stats, eviction (GC), clearing.
 
-One cache root holds every store the engine uses —
+One cache root holds the engine's result stores —
 
 * JSON result entries at ``<cache_dir>/<key[:2]>/<key>.json``
-  (:class:`~repro.sweep.cache.ResultCache`),
+  (:class:`~repro.sweep.cache.ResultCache`), and
 * SQLite result rows in ``<cache_dir>/results.db``
   (:class:`~repro.sweep.sqlite_store.SQLiteResultStore`; present when the
-  sweep ran with ``--result-store sqlite``), and
-* trace entries at ``<cache_dir>/traces/<key[:2]>/<key>.json``
-  (:class:`~repro.sweep.tracecache.TraceCache`)
+  sweep ran with ``--result-store sqlite``)
 
 — and this module treats them uniformly: every entry is one
 :class:`CacheEntry` whose last-use timestamp (file mtime, or the SQLite
-row's access time) doubles as its age.  All stores are content-addressed,
+row's access time) doubles as its age.  Both stores are content-addressed,
 so eviction is always safe — a removed entry is a future cache miss, never
-a correctness problem.
+a correctness problem.  A ``traces/`` directory left under the root by an
+older version is no longer read or managed; it can be deleted by hand.
 
 Eviction policy (:func:`gc_cache`):
 
@@ -22,10 +21,8 @@ Eviction policy (:func:`gc_cache`):
 2. If the survivors still exceed ``max_bytes`` (when given), drop
    oldest-first until the total fits.
 
-All stores touch entries on read, so "oldest" means least recently *used*
-(true LRU), and a whole section can be exempted from eviction with ``keep``
-(``repro cache gc --keep-traces`` / ``--keep-results`` — e.g. protect the
-expensive-to-rebuild traces while pruning cheap-to-recompute results).
+Both stores touch entries on read, so "oldest" means least recently *used*
+(true LRU).
 
 Stale temporary files
 ---------------------
@@ -52,21 +49,15 @@ The CLI exposes all of this as ``repro cache stats|gc|clear``.
 
 from __future__ import annotations
 
-import json
 import os
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from dataclasses import asdict, dataclass
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.common.atomicio import CORRUPT_SUFFIX, TMP_SUFFIX
-from repro.sweep.tracecache import TRACE_SUBDIR
-from repro.timing.lowered import LOWERING_VERSION
 
 __all__ = ["CacheEntry", "CacheStats", "GCReport", "TMP_GRACE_SECONDS",
            "iter_cache_entries", "iter_corrupt_files", "iter_tmp_files",
            "cache_stats", "gc_cache", "clear_cache"]
-
-#: Logical sections of a shared cache root.
-_SECTIONS = ("results", "traces")
 
 #: Grace period before an orphaned ``*.tmp`` file counts as stale: a file
 #: this young may be a live writer's in-flight entry, so GC leaves it.
@@ -75,14 +66,13 @@ TMP_GRACE_SECONDS = 3600.0
 
 @dataclass(frozen=True)
 class CacheEntry:
-    """One cache entry: a result file, a SQLite result row, or a trace.
+    """One cache entry: a JSON result file or a SQLite result row.
 
     ``key`` is set only for SQLite rows (whose ``path`` is the shared
     database file) — it is what eviction deletes by.
     """
 
     path: str
-    section: str  # "results" or "traces"
     size: int     # bytes (payload size for SQLite rows)
     mtime: float  # POSIX timestamp of the last use
     key: Optional[str] = None  # SQLite row key; None for plain files
@@ -90,21 +80,13 @@ class CacheEntry:
 
 @dataclass
 class CacheStats:
-    """Aggregate usage of one cache root, per section and overall."""
+    """Aggregate usage of one cache root."""
 
     cache_dir: str
-    entries: Dict[str, int] = field(
-        default_factory=lambda: {s: 0 for s in _SECTIONS})
-    bytes: Dict[str, int] = field(
-        default_factory=lambda: {s: 0 for s in _SECTIONS})
-    #: Of the result entries, how many are rows of ``results.db``.
+    total_entries: int = 0
+    total_bytes: int = 0
+    #: Of the entries, how many are rows of ``results.db``.
     sqlite_entries: int = 0
-    #: Trace entries carrying a lowered payload of the *live*
-    #: LOWERING_VERSION (a warm read of these skips the lowering pass too).
-    lowered_entries: int = 0
-    #: Trace entries whose lowered payload is missing or version-stale
-    #: (still valid traces; they re-lower on first use).
-    stale_lowered_entries: int = 0
     #: Orphaned ``*.tmp`` files from interrupted atomic writes (all ages).
     tmp_files: int = 0
     tmp_bytes: int = 0
@@ -118,37 +100,13 @@ class CacheStats:
     oldest_mtime: Optional[float] = None
     newest_mtime: Optional[float] = None
 
-    @property
-    def total_entries(self) -> int:
-        return sum(self.entries.values())
-
-    @property
-    def total_bytes(self) -> int:
-        return sum(self.bytes.values())
-
     def to_dict(self) -> Dict[str, object]:
         """JSON-able form of the stats (``repro cache stats --json``).
 
-        Every field and derived total, plus nothing else — scripts can
-        rely on these keys staying stable.
+        Every field, plus nothing else — scripts can rely on these keys
+        staying stable.
         """
-        return {
-            "cache_dir": self.cache_dir,
-            "entries": dict(self.entries),
-            "bytes": dict(self.bytes),
-            "total_entries": self.total_entries,
-            "total_bytes": self.total_bytes,
-            "sqlite_entries": self.sqlite_entries,
-            "lowered_entries": self.lowered_entries,
-            "stale_lowered_entries": self.stale_lowered_entries,
-            "tmp_files": self.tmp_files,
-            "tmp_bytes": self.tmp_bytes,
-            "stale_tmp_files": self.stale_tmp_files,
-            "corrupt_files": self.corrupt_files,
-            "corrupt_bytes": self.corrupt_bytes,
-            "oldest_mtime": self.oldest_mtime,
-            "newest_mtime": self.newest_mtime,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -169,15 +127,16 @@ class GCReport:
     corrupt_bytes_freed: int = 0
 
 
-def _iter_section(root: str, section: str) -> Iterator[CacheEntry]:
-    """Entries of one two-level ``<fan-out>/<key>.json`` store under ``root``."""
+def _iter_json_results(root: str) -> Iterator[CacheEntry]:
+    """Entries of the two-level ``<fan-out>/<key>.json`` store under
+    ``root``."""
     try:
         fanouts = sorted(os.listdir(root))
     except OSError:
         return
     for fanout in fanouts:
-        # Fan-out directories are the first two hex chars of the key; the
-        # traces subdir (and anything else) is not one of them.
+        # Fan-out directories are the first two hex chars of the key; a
+        # leftover traces/ subdir (and anything else) is not one of them.
         if len(fanout) != 2:
             continue
         subdir = os.path.join(root, fanout)
@@ -193,8 +152,7 @@ def _iter_section(root: str, section: str) -> Iterator[CacheEntry]:
                 st = os.stat(path)
             except OSError:
                 continue
-            yield CacheEntry(path=path, section=section,
-                             size=st.st_size, mtime=st.st_mtime)
+            yield CacheEntry(path=path, size=st.st_size, mtime=st.st_mtime)
 
 
 def _iter_sqlite_results(cache_dir: str) -> Iterator[CacheEntry]:
@@ -203,18 +161,14 @@ def _iter_sqlite_results(cache_dir: str) -> Iterator[CacheEntry]:
 
     path = sqlite_store.db_path(cache_dir)
     for key, size, atime in sqlite_store.iter_rows(cache_dir):
-        yield CacheEntry(path=path, section="results", size=size,
-                         mtime=atime, key=key)
+        yield CacheEntry(path=path, size=size, mtime=atime, key=key)
 
 
 def iter_cache_entries(cache_dir: str) -> Iterator[CacheEntry]:
-    """Yield every entry under a shared cache root (results, then traces).
-
-    Result entries cover both layouts: JSON files and SQLite rows.
-    """
-    yield from _iter_section(cache_dir, "results")
+    """Yield every result entry under a cache root: JSON files, then
+    SQLite rows."""
+    yield from _iter_json_results(cache_dir)
     yield from _iter_sqlite_results(cache_dir)
-    yield from _iter_section(os.path.join(cache_dir, TRACE_SUBDIR), "traces")
 
 
 def _iter_suffixed(cache_dir: str, suffix: str,
@@ -245,46 +199,27 @@ def iter_tmp_files(cache_dir: str) -> Iterator[Tuple[str, int, float]]:
 
 def iter_corrupt_files(cache_dir: str) -> Iterator[Tuple[str, int, float]]:
     """Yield ``(path, size, mtime)`` of every quarantined ``*.corrupt``
-    entry under the root (result or trace, any fan-out)."""
+    entry under the root (any fan-out)."""
     yield from _iter_suffixed(cache_dir, CORRUPT_SUFFIX)
 
 
-def _has_live_lowering(path: str) -> bool:
-    """Whether a trace entry embeds a current-LOWERING_VERSION payload."""
-    try:
-        with open(path, "r", encoding="utf-8") as f:
-            entry = json.load(f)
-        lowered = entry.get("lowered")
-        return (isinstance(lowered, dict)
-                and lowered.get("lowering_version") == LOWERING_VERSION)
-    except (OSError, ValueError):
-        return False
-
-
 def cache_stats(cache_dir: str, now: Optional[float] = None) -> CacheStats:
-    """Scan a cache root and return per-section entry/byte counts.
+    """Scan a cache root and return its entry/byte counts.
 
-    Trace entries are additionally opened to classify their lowered
-    payloads (:attr:`CacheStats.lowered_entries` /
-    :attr:`CacheStats.stale_lowered_entries`), and orphaned temporary
-    files are counted (stale = older than :data:`TMP_GRACE_SECONDS`
-    relative to ``now``, defaulting to the current time) — this is an
-    admin-path scan, not something the sweep hot path ever runs.
+    Orphaned temporary files are counted too (stale = older than
+    :data:`TMP_GRACE_SECONDS` relative to ``now``, defaulting to the
+    current time) — this is an admin-path scan, not something the sweep
+    hot path ever runs.
     """
     import time
 
     reference = time.time() if now is None else now
     stats = CacheStats(cache_dir=os.fspath(cache_dir))
     for entry in iter_cache_entries(cache_dir):
-        stats.entries[entry.section] += 1
-        stats.bytes[entry.section] += entry.size
+        stats.total_entries += 1
+        stats.total_bytes += entry.size
         if entry.key is not None:
             stats.sqlite_entries += 1
-        if entry.section == "traces":
-            if _has_live_lowering(entry.path):
-                stats.lowered_entries += 1
-            else:
-                stats.stale_lowered_entries += 1
         if stats.oldest_mtime is None or entry.mtime < stats.oldest_mtime:
             stats.oldest_mtime = entry.mtime
         if stats.newest_mtime is None or entry.mtime > stats.newest_mtime:
@@ -350,11 +285,10 @@ def _sweep_corrupt_files(cache_dir: str, report: GCReport) -> None:
 def gc_cache(cache_dir: str, max_bytes: Optional[int] = None,
              max_age_seconds: Optional[float] = None,
              now: Optional[float] = None,
-             keep: Iterable[str] = (),
              tmp_grace_seconds: float = TMP_GRACE_SECONDS) -> GCReport:
     """Evict cache entries by age and/or total size; returns a report.
 
-    All stores touch entries on read, so mtime-ordered eviction is true
+    Both stores touch entries on read, so mtime-ordered eviction is true
     least-recently-used.  Independently of the bounds, every orphaned
     ``*.tmp`` file older than ``tmp_grace_seconds`` is swept (reported via
     :attr:`GCReport.tmp_removed`, not as an evicted entry).
@@ -362,7 +296,7 @@ def gc_cache(cache_dir: str, max_bytes: Optional[int] = None,
     Parameters
     ----------
     cache_dir:
-        Shared cache root (results — JSON and SQLite — plus traces).
+        Cache root (JSON and SQLite results).
     max_bytes:
         Keep total on-disk size at or under this many bytes, evicting
         least-recently-used entries first.  ``None`` puts no size bound.
@@ -372,11 +306,6 @@ def gc_cache(cache_dir: str, max_bytes: Optional[int] = None,
     now:
         Reference timestamp for age computation (defaults to the current
         time; tests pin it).
-    keep:
-        Section names (``"results"``, ``"traces"``) exempt from eviction;
-        their entries always survive but still count toward the size bound,
-        so e.g. ``keep=("traces",)`` prunes results until the *combined*
-        total fits or no evictable entry is left.
     tmp_grace_seconds:
         Minimum age before an orphaned tempfile is swept (younger ones may
         belong to a live writer).
@@ -389,10 +318,6 @@ def gc_cache(cache_dir: str, max_bytes: Optional[int] = None,
     from repro.sweep import sqlite_store
 
     reference = time.time() if now is None else now
-    protected = frozenset(keep)
-    unknown = protected.difference(_SECTIONS)
-    if unknown:
-        raise ValueError(f"unknown cache section(s) in keep: {sorted(unknown)}")
     entries: List[CacheEntry] = sorted(iter_cache_entries(cache_dir),
                                        key=lambda e: e.mtime)
     report = GCReport()
@@ -400,8 +325,7 @@ def gc_cache(cache_dir: str, max_bytes: Optional[int] = None,
 
     survivors: List[CacheEntry] = []
     for entry in entries:
-        if (entry.section not in protected
-                and max_age_seconds is not None
+        if (max_age_seconds is not None
                 and reference - entry.mtime > max_age_seconds):
             _remove(entry, report, sqlite_doomed)
         else:
@@ -409,19 +333,16 @@ def gc_cache(cache_dir: str, max_bytes: Optional[int] = None,
 
     if max_bytes is not None:
         total = sum(e.size for e in survivors)
-        removed_ids = set()
-        # survivors are least-recently-used-first: evict evictable entries
-        # from the front until the total fits.
+        evicted = 0
+        # survivors are least-recently-used-first: evict from the front
+        # until the total fits.
         for entry in survivors:
             if total <= max_bytes:
                 break
-            if entry.section in protected:
-                continue
             _remove(entry, report, sqlite_doomed)
-            removed_ids.add((entry.path, entry.key))
+            evicted += 1
             total -= entry.size
-        survivors = [e for e in survivors
-                     if (e.path, e.key) not in removed_ids]
+        survivors = survivors[evicted:]
 
     if sqlite_doomed:
         sqlite_store.delete_keys(cache_dir, sqlite_doomed)
@@ -436,8 +357,8 @@ def gc_cache(cache_dir: str, max_bytes: Optional[int] = None,
 def clear_cache(cache_dir: str) -> GCReport:
     """Remove every entry under a cache root; returns what was freed.
 
-    Clears all three stores (JSON results, SQLite results, traces) and
-    every orphaned tempfile regardless of age.
+    Clears both result stores (JSON and SQLite) and every orphaned
+    tempfile regardless of age.
     """
     from repro.sweep import sqlite_store
 

@@ -2,7 +2,7 @@
 
 A long-lived server process that accepts sweep submissions over HTTP, runs
 them on the shared :class:`~repro.sweep.engine.SweepEngine` (one engine run
-per job, all jobs sharing the server's result/trace caches), and streams
+per job, all jobs sharing the server's result cache), and streams
 live progress.  Everything rides the stdlib — ``http.server`` + threads on
 the server, ``urllib`` in the client — so the service adds zero
 dependencies.
@@ -78,7 +78,7 @@ from urllib.parse import parse_qs, urlsplit
 
 from repro.common.atomicio import atomic_write_json
 from repro.sweep import faults
-from repro.sweep.engine import SweepEngine
+from repro.sweep.engine import SweepEngine, ensure_cache_dir
 from repro.sweep.journal import SweepJournal, read_jsonl
 from repro.sweep.spec import SweepPoint, resolve_spec
 from repro.timing.config import MachineConfig
@@ -242,6 +242,9 @@ class SweepService:
                  task_timeout: Optional[float] = None,
                  max_pool_restarts: Optional[int] = None) -> None:
         self.state_dir = os.fspath(state_dir)
+        if cache_dir:
+            # Fail at start-up, not inside every job's engine.
+            ensure_cache_dir(cache_dir)
         self.cache_dir = cache_dir
         self.engine_jobs = jobs
         self.max_queue = max_queue
@@ -537,7 +540,6 @@ class SweepService:
                 "simulated": engine.last_simulated,
                 "cached": engine.last_cached,
                 "journaled": engine.last_journaled,
-                "trace_hits": engine.last_trace_hits,
                 "trace_builds": engine.last_trace_builds,
                 "retries": engine.last_retries,
                 "pool_restarts": engine.last_pool_restarts,

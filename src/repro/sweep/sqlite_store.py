@@ -18,9 +18,7 @@ all entries as rows of a single ``results.db`` in the cache root:
 
 The engine selects the backend with ``SweepEngine(result_store="sqlite")``
 (CLI: ``--result-store sqlite``); ``repro cache stats|gc|clear`` operate on
-both layouts transparently.  The trace cache stays file-based — traces are
-few (one per kernel x ISA x workload) and large, the shape files are good
-at.
+both layouts transparently.
 
 Tolerance rules match the JSON store: a missing database, an unreadable
 row, or a corrupt payload is a plain miss (the point recomputes), never a

@@ -18,13 +18,12 @@ completes.
 from repro.timing.config import MachineConfig, WAY_CONFIGS
 from repro.timing.core import OutOfOrderCore, simulate_trace
 from repro.timing.dispatch import BACKENDS, resolve_execution, simulate_batch
-from repro.timing.lowered import LOWERING_VERSION, LoweredTrace, lower_trace
+from repro.timing.lowered import LoweredTrace, lower_trace
 from repro.timing.results import SimResult
 from repro.timing.vector import VECTOR_MIN_BATCH, run_lowered_batch
 
 __all__ = [
     "BACKENDS",
-    "LOWERING_VERSION",
     "LoweredTrace",
     "MachineConfig",
     "VECTOR_MIN_BATCH",

@@ -17,7 +17,7 @@ The calibration file lives at ``~/.cache/repro/calibration.json`` by
 default; the ``REPRO_CALIBRATION`` environment variable overrides the
 path, and setting it to the empty string or ``off`` disables reading (the
 test suite does this so routing assertions stay hermetic).  Stale or
-malformed files are ignored, never an error — exactly the trace cache's
+malformed files are ignored, never an error — exactly the result cache's
 tolerance rules.
 """
 

@@ -2,10 +2,9 @@
 
 The object emission path appends one frozen-dataclass
 :class:`~repro.trace.instruction.DynInstr` per emitted instruction, and a
-cold sweep then pays twice more to undo that choice: ``lower_trace``
+cold sweep then pays again to undo that choice: ``lower_trace``
 re-interns every operand into the flat arrays the fast timing backends
-execute, and ``Trace.to_payload`` re-interns everything again into the
-trace cache's compact record pool.  All three passes walk the same data.
+execute.  Both passes walk the same data.
 
 :class:`TraceColumns` does the interning **once, at emission time**.  Every
 ``emit`` call is folded into a *record pool*: the full per-instruction
@@ -13,8 +12,7 @@ record — opcode, opclass, operand references, vector lengths, flags — is
 interned into a dict (kernels are loops, so a trace of thousands of dynamic
 instructions reuses a few hundred distinct records), and the recorder keeps
 
-* the sequence of pool row ids (exactly the trace payload's ``instrs``
-  list),
+* the sequence of pool row ids,
 * the per-row *lowered* encoding — shape id, dense source register ids and
   ``(reg, pool, is_acc)`` destination triples, interned opcode id — built
   once when a row is first seen,
@@ -26,15 +24,14 @@ instructions reuses a few hundred distinct records), and the recorder keeps
 Interning order is the crux of equivalence: rows are interned in
 first-occurrence order over the dynamic sequence, and registers / shapes /
 opcodes are interned when their row is first created, sources before
-destinations — byte-for-byte the order ``lower_trace`` and ``to_payload``
-assign ids in.  The payload-equality suite in ``tests/trace/test_columns.py``
-pins column-built traces to the object path on the full kernel x ISA grid.
+destinations — exactly the order ``lower_trace`` assigns ids in.  The
+equivalence suite in ``tests/trace/test_columns.py`` pins column-built
+traces to the object path on the full kernel x ISA grid.
 
 :class:`~repro.trace.instruction.DynInstr` objects are only materialised
-when someone *iterates* the trace (debugging, the object timing backend, a
-payload round-trip through old code); :meth:`materialize` builds one
-instruction per distinct row and shares it across the sequence, like
-``Trace.from_payload`` always has.
+when someone *iterates* the trace (debugging, the object timing backend);
+:meth:`materialize` builds one instruction per distinct row and shares it
+across the sequence.
 
 Everything here is import-light on purpose: the timing package imports
 ``repro.trace.container`` at startup, so the :class:`LoweredTrace` bridge
@@ -88,7 +85,7 @@ class TraceColumns:
         # Per row id: (shape_id, src_reg_ids, dst_triples, opcode_id).
         self._row_cols: List[Tuple[int, Tuple[int, ...],
                                    Tuple[Tuple[int, int, bool], ...], int]] = []
-        # Per instruction: row id (the payload's ``instrs`` sequence).
+        # Per instruction: row id into the record pool.
         self._sequence: List[int] = []
         # Interning tables, all in first-use order.
         self._shape_table: Dict[Tuple[OpClass, int, bool], int] = {}
@@ -231,64 +228,6 @@ class TraceColumns:
         return lowered
 
     # ------------------------------------------------------------------
-    # compact serialization
-    # ------------------------------------------------------------------
-
-    def to_payload(self, name: str, isa: str) -> Dict[str, Any]:
-        """The trace payload, straight from the columns.
-
-        Byte-identical to ``Trace.to_payload`` over the materialised
-        instructions: the record pool already deduplicates whole rows in
-        first-occurrence order (the same order the object path's
-        ``pool.setdefault`` discovers them), so the pool encodes rows in
-        row-id order and ``instrs`` is the row-id sequence verbatim.
-        """
-        # Lazy: container imports this module at load time.
-        from repro.trace.container import (TRACE_PAYLOAD_FORMAT,
-                                           _FLAG_NON_PIPELINED, _FLAG_VECTOR)
-
-        opcodes: Dict[str, int] = {}
-        opclasses: Dict[str, int] = {}
-        isas: Dict[str, int] = {}
-        regfiles: Dict[str, int] = {}
-
-        def intern(table: Dict[str, int], value: str) -> int:
-            if value not in table:
-                table[value] = len(table)
-            return table[value]
-
-        def pack_refs(refs) -> List[int]:
-            packed: List[int] = []
-            for ref in refs:
-                packed.append(intern(regfiles, ref.file.value))
-                packed.append(ref.index)
-            return packed
-
-        pool_rows = []
-        for (opcode, opclass, srcs, dsts, ops, vlx, vly, is_vector,
-             non_pipelined) in self._rows:
-            flags = (_FLAG_VECTOR if is_vector else 0) | (
-                _FLAG_NON_PIPELINED if non_pipelined else 0)
-            pool_rows.append([
-                intern(opcodes, opcode),
-                intern(opclasses, opclass.value),
-                intern(isas, isa),
-                ops, vlx, vly, flags,
-                pack_refs(srcs), pack_refs(dsts),
-            ])
-        return {
-            "format": TRACE_PAYLOAD_FORMAT,
-            "name": name,
-            "isa": isa,
-            "opcodes": list(opcodes),
-            "opclasses": list(opclasses),
-            "isas": list(isas),
-            "regfiles": list(regfiles),
-            "pool": pool_rows,
-            "instrs": list(self._sequence),
-        }
-
-    # ------------------------------------------------------------------
     # lazy object materialisation
     # ------------------------------------------------------------------
 
@@ -296,9 +235,8 @@ class TraceColumns:
         """Build the :class:`~repro.trace.instruction.DynInstr` sequence.
 
         One instruction object per distinct record, shared across the
-        dynamic sequence (instructions are frozen values; this mirrors
-        ``Trace.from_payload``).  Called lazily — only when someone
-        actually iterates the trace.
+        dynamic sequence (instructions are frozen values).  Called lazily —
+        only when someone actually iterates the trace.
         """
         from repro.trace.instruction import DynInstr
 

@@ -1,12 +1,4 @@
-"""Trace container and its compact serialized form.
-
-Besides the in-memory :class:`Trace` used by the builders and the timing
-model, this module defines the *payload* format the
-:class:`~repro.sweep.tracecache.TraceCache` stores on disk: a plain
-JSON-able dict with interned opcode/opclass/register-file tables and one
-small integer row per instruction, so a several-thousand-instruction trace
-serializes to a few tens of kilobytes and deserializes orders of magnitude
-faster than re-running the functional front end.
+"""Trace container: the in-memory instruction sequence of one kernel run.
 
 A trace has two interchangeable storages:
 
@@ -14,37 +6,28 @@ A trace has two interchangeable storages:
     Instructions live in a :class:`~repro.trace.columns.TraceColumns`
     recorder — flat id columns in the lowered-array layout, with whole
     records interned into a pool.  :meth:`lower` is a zero-copy adoption,
-    :meth:`to_payload` serializes straight from the pool, and
-    :class:`~repro.trace.instruction.DynInstr` objects are only
+    and :class:`~repro.trace.instruction.DynInstr` objects are only
     materialised when someone iterates the trace.
 
 ``object mode``
     A plain list of :class:`DynInstr` — what :meth:`append` /
-    :meth:`extend` build, what :meth:`from_payload` revives, and what any
-    column trace degrades to on mutation.  The readable reference path.
+    :meth:`extend` build, and what any column trace degrades to on
+    mutation.  The readable reference path.
 
-Both modes produce byte-identical payloads and structurally identical
+Both modes yield equal instruction sequences and structurally identical
 lowerings; ``tests/trace/test_columns.py`` pins the equivalence on the
 full kernel x ISA grid.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, Iterator, List, Optional
+from typing import Iterable, Iterator, List, Optional
 
-from repro.isa.opclasses import OpClass, RegFile
+from repro.isa.opclasses import OpClass
 from repro.trace.columns import TraceColumns
-from repro.trace.instruction import DynInstr, RegRef
+from repro.trace.instruction import DynInstr
 
-__all__ = ["Trace", "TRACE_PAYLOAD_FORMAT"]
-
-#: Version of the serialized trace payload layout.  Bump on any change to
-#: the row encoding below; readers treat an unknown format as a cache miss.
-TRACE_PAYLOAD_FORMAT = 1
-
-# Bit flags packed into each instruction row.
-_FLAG_VECTOR = 1
-_FLAG_NON_PIPELINED = 2
+__all__ = ["Trace"]
 
 
 class Trace:
@@ -214,129 +197,3 @@ class Trace:
 
                 self._lowered = lower_trace(self)
         return self._lowered
-
-    def attach_lowered(self, lowered) -> None:
-        """Pre-seed the lowering memo (trace-cache deserialization path).
-
-        The caller asserts that ``lowered`` is the compilation of exactly
-        this instruction sequence; a length mismatch is rejected as the
-        cheap sanity check.
-        """
-        if lowered.num_instructions != len(self):
-            raise ValueError(
-                f"lowered trace has {lowered.num_instructions} instructions, "
-                f"trace has {len(self)}")
-        self._lowered = lowered
-
-    # ------------------------------------------------------------------
-    # compact (de)serialization
-    # ------------------------------------------------------------------
-
-    def to_payload(self) -> Dict[str, Any]:
-        """Serialize to a compact JSON-able dict.
-
-        Two levels of sharing keep the payload small and cheap to revive:
-
-        * opcode, opclass, ISA and register-file names are interned into
-          per-trace string tables;
-        * whole instruction *records* are deduplicated into a ``pool`` —
-          kernels are loops, so a trace of thousands of dynamic
-          instructions typically has only a few hundred distinct records —
-          and ``instrs`` is just the sequence of pool indices.
-
-        Each pool row is ``[opcode_i, opclass_i, isa_i, ops, vlx, vly,
-        flags, [file_i, index, ...srcs], [file_i, index, ...dsts]]`` with
-        ``flags`` packing ``is_vector`` (bit 0) and ``non_pipelined``
-        (bit 1).  :meth:`from_payload` inverts this exactly: the
-        round-tripped instructions compare equal to the originals.
-
-        A column-mode trace serializes straight from its record pool (no
-        instruction objects are materialised) with byte-identical output.
-        """
-        if self._columns is not None:
-            return self._columns.to_payload(self.name, self.isa)
-        opcodes: Dict[str, int] = {}
-        opclasses: Dict[str, int] = {}
-        isas: Dict[str, int] = {}
-        regfiles: Dict[str, int] = {}
-
-        def intern(table: Dict[str, int], value: str) -> int:
-            if value not in table:
-                table[value] = len(table)
-            return table[value]
-
-        def pack_refs(refs) -> tuple:
-            packed: List[int] = []
-            for ref in refs:
-                packed.append(intern(regfiles, ref.file.value))
-                packed.append(ref.index)
-            return tuple(packed)
-
-        pool: Dict[tuple, int] = {}
-        sequence: List[int] = []
-        for i in self._materialized():
-            flags = (_FLAG_VECTOR if i.is_vector else 0) | (
-                _FLAG_NON_PIPELINED if i.non_pipelined else 0)
-            row = (
-                intern(opcodes, i.opcode),
-                intern(opclasses, i.opclass.value),
-                intern(isas, i.isa),
-                i.ops, i.vlx, i.vly, flags,
-                pack_refs(i.srcs), pack_refs(i.dsts),
-            )
-            index = pool.setdefault(row, len(pool))
-            sequence.append(index)
-        return {
-            "format": TRACE_PAYLOAD_FORMAT,
-            "name": self.name,
-            "isa": self.isa,
-            "opcodes": list(opcodes),
-            "opclasses": list(opclasses),
-            "isas": list(isas),
-            "regfiles": list(regfiles),
-            "pool": [[*row[:7], list(row[7]), list(row[8])] for row in pool],
-            "instrs": sequence,
-        }
-
-    @classmethod
-    def from_payload(cls, payload: Dict[str, Any]) -> "Trace":
-        """Reconstruct a trace from :meth:`to_payload` output.
-
-        Identical dynamic instructions share one (immutable)
-        :class:`~repro.trace.instruction.DynInstr` instance — the timing
-        model and the statistics pass treat instructions as values, so
-        reviving a pool of a few hundred distinct records is orders of
-        magnitude cheaper than re-running the functional front end.
-
-        Raises ``ValueError`` on an unknown payload format and lets
-        ``KeyError``/``IndexError``/``TypeError`` escape on malformed data —
-        cache readers treat all of those as a miss.
-        """
-        if payload.get("format") != TRACE_PAYLOAD_FORMAT:
-            raise ValueError(
-                f"unknown trace payload format {payload.get('format')!r}")
-        opcodes = payload["opcodes"]
-        opclasses = [OpClass(v) for v in payload["opclasses"]]
-        isas = payload["isas"]
-        regfiles = [RegFile(v) for v in payload["regfiles"]]
-
-        def unpack_refs(packed) -> tuple:
-            return tuple(RegRef(file=regfiles[packed[j]], index=packed[j + 1])
-                         for j in range(0, len(packed), 2))
-
-        pool = []
-        for row in payload["pool"]:
-            op_i, cls_i, isa_i, ops, vlx, vly, flags, srcs, dsts = row
-            pool.append(DynInstr(
-                opcode=opcodes[op_i],
-                opclass=opclasses[cls_i],
-                isa=isas[isa_i],
-                srcs=unpack_refs(srcs),
-                dsts=unpack_refs(dsts),
-                ops=ops, vlx=vlx, vly=vly,
-                is_vector=bool(flags & _FLAG_VECTOR),
-                non_pipelined=bool(flags & _FLAG_NON_PIPELINED),
-            ))
-        trace = cls(name=payload["name"], isa=payload["isa"])
-        trace._instrs = [pool[i] for i in payload["instrs"]]
-        return trace

@@ -142,6 +142,27 @@ class TestCache:
         v2.run(sweep)
         assert v2.last_simulated == len(sweep), "version bump must miss the cache"
 
+    @pytest.mark.parametrize("store", ["json", "sqlite"])
+    def test_unusable_cache_dir_fails_up_front(self, tmp_path, store):
+        """A cache dir that cannot be created raises one clear error at
+        construction, before any point runs."""
+        from repro.sweep import CacheDirError
+
+        blocker = tmp_path / "file"
+        blocker.write_text("not a directory")
+        bad = str(blocker / "cache")
+        with pytest.raises(CacheDirError, match="cannot be created") as info:
+            SweepEngine(cache_dir=bad, result_store=store)
+        assert bad in str(info.value)
+
+    def test_missing_cache_dir_is_created(self, tmp_path):
+        root = tmp_path / "a" / "b"
+        engine = SweepEngine(cache_dir=str(root))
+        assert root.is_dir()
+        engine.run([SweepPoint("comp", "mom", MachineConfig.for_way(4),
+                               _SPEC)])
+        assert engine.last_simulated == 1
+
     def test_partial_cache(self, tmp_path):
         cfg = MachineConfig.for_way(4)
         a = SweepPoint("comp", "mom", cfg, _SPEC)
@@ -164,6 +185,17 @@ class TestCache:
         assert point_key(point) != point_key(
             SweepPoint("comp", "mom", cfg, WorkloadSpec(scale=1, seed=8)))
         assert point_key(point) != point_key(point, version="other")
+
+    def test_key_folds_in_the_builder_version(self, monkeypatch):
+        """A front-end version bump must miss every cached result (and
+        every journaled point): the stored numbers came from the old
+        instruction streams."""
+        import repro.sweep.cache as cache_module
+
+        point = SweepPoint("comp", "mom", MachineConfig.for_way(4), _SPEC)
+        before = point_key(point)
+        monkeypatch.setattr(cache_module, "BUILDER_VERSION", "bumped")
+        assert point_key(point) != before
 
     def test_cache_entries_are_json_on_disk(self, tmp_path):
         cfg = MachineConfig.for_way(4)
@@ -283,41 +315,55 @@ class TestTraceBatching:
         results = engine.run(self._multi_config_sweep())
         assert all(not r.checked for r in results)
 
-    def test_keep_builds_still_publishes_verified_traces(self, tmp_path):
-        """keep_builds bypasses cache *reads* but a checked build's trace
-        is still written for later sweeps to hit."""
+    def test_keep_builds_bypasses_result_cache_reads(self, tmp_path,
+                                                     build_counter):
+        """keep_builds runs its own build even for a point the result cache
+        holds, so the result can carry that build."""
         point = SweepPoint("comp", "mom", MachineConfig.for_way(4), _SPEC)
+        SweepEngine(cache_dir=str(tmp_path)).run([point])
+        build_counter.clear()
         engine = SweepEngine(cache_dir=str(tmp_path))
-        engine.run([point], keep_builds=True)
-        assert engine.trace_cache.get(point) is not None
+        results = engine.run([point], keep_builds=True)
+        assert results[0].build is not None
+        assert build_counter == [("comp", "mom")]
+        assert engine.last_cached == 0
 
-        warm_miss = SweepEngine(cache_dir=str(tmp_path))
-        results = warm_miss.run(
-            [SweepPoint("comp", "mom", MachineConfig.for_way(2), _SPEC)])
-        assert warm_miss.last_trace_builds == 0
-        assert results[0].trace_cached
+    def test_warm_miss_builds_each_trace_once(self, tmp_path,
+                                              build_counter):
+        """A result-store miss on a warm cache dir (same kernels and
+        workload, a configuration not seen before) builds each distinct
+        trace exactly once, and its rows equal a cold run's."""
+        SweepEngine(cache_dir=str(tmp_path)).run(self._multi_config_sweep())
+        miss = SweepSpec.make(kernels=_KERNELS,
+                              configs=[MachineConfig.for_way(8)], spec=_SPEC)
+        build_counter.clear()
+        engine = SweepEngine(cache_dir=str(tmp_path))
+        results = engine.run(miss)
+        distinct_traces = len(_KERNELS) * 4
+        assert engine.last_cached == 0
+        assert engine.last_simulated == len(results) == distinct_traces
+        assert engine.last_trace_builds == distinct_traces
+        assert sorted(build_counter) == sorted(set(build_counter))
+        assert len(build_counter) == distinct_traces
+        cold = SweepEngine().run(miss)
+        assert [(r.sim, r.stats) for r in results] == [
+            (r.sim, r.stats) for r in cold]
+        assert all(r.checked and not r.cached for r in results)
 
-    def test_warm_groups_split_to_fill_the_pool(self, tmp_path):
-        """A config-heavy sweep over few distinct traces must not collapse
-        to one pool task per trace once the trace cache is warm."""
-        configs = [MachineConfig.for_way(4, mem_latency=lat)
-                   for lat in (1, 2, 3, 5, 8, 12, 20, 50)]
-        sweep = SweepSpec.make(kernels=["comp"], isas=("mom",),
-                               configs=configs, spec=_SPEC)
-        SweepEngine(cache_dir=str(tmp_path)).run(sweep)  # warm the traces
-
-        engine = SweepEngine(jobs=4, cache_dir=str(tmp_path), version="v2")
-        results = engine.run(sweep)
-        if engine.last_fallback_reason is None:
-            assert engine.last_pool_tasks == 4, (
-                "one 8-point warm group should split into jobs-many tasks")
-        assert engine.last_trace_builds == 0
-        baseline = SweepEngine(version="v3").run(sweep)
-        assert [r.sim for r in results] == [r.sim for r in baseline]
+    def test_warm_rerun_does_zero_builds_and_zero_simulations(
+            self, tmp_path, build_counter):
+        SweepEngine(cache_dir=str(tmp_path)).run(self._multi_config_sweep())
+        build_counter.clear()
+        warm = SweepEngine(cache_dir=str(tmp_path))
+        results = warm.run(self._multi_config_sweep())
+        assert warm.last_simulated == 0
+        assert warm.last_cached == len(results)
+        assert warm.last_trace_builds == 0
+        assert build_counter == []
 
     def test_cold_groups_are_never_split(self, tmp_path):
-        """An uncached group stays one task — splitting it would duplicate
-        the front-end build."""
+        """A trace group stays one task — splitting it would duplicate the
+        front-end build."""
         configs = [MachineConfig.for_way(w) for w in (1, 2, 4, 8)]
         sweep = SweepSpec.make(kernels=["comp"], isas=("mom",),
                                configs=configs, spec=_SPEC)
@@ -376,18 +422,15 @@ class TestBackendRouting:
         yield calls
         remove_batch_hook(hook)
 
-    def test_warm_figure4_grid_routes_through_batch_backend_serially(
-            self, tmp_path, batch_hook):
-        """Acceptance: a warm (trace-cached) figure-4 grid sweep simulates
-        every group through run_lowered_batch on the serial path."""
+    def test_figure4_grid_routes_through_batch_backend_serially(
+            self, batch_hook):
+        """Acceptance: a figure-4 grid sweep simulates every group through
+        run_lowered_batch on the serial path."""
         sweep = self._figure4_grid()
-        SweepEngine(trace_cache=str(tmp_path)).run(sweep)  # warm the traces
-
-        batch_hook.clear()
-        engine = SweepEngine(trace_cache=str(tmp_path))
+        engine = SweepEngine()
         results = engine.run(sweep)
-        assert engine.last_trace_builds == 0, "trace cache must be warm"
         groups = 4  # one kernel x four ISAs
+        assert engine.last_trace_builds == groups
         assert len(results) == groups * 4
         # the engine's own record: every group went through the dispatch
         assert sorted(engine.last_batches) == [(4, "lowered")] * groups
@@ -395,18 +438,15 @@ class TestBackendRouting:
         assert sorted(n for _k, _i, n, _m in batch_hook) == [4] * groups
         assert {m for _k, _i, _n, m in batch_hook} == {"lowered"}
 
-    def test_warm_figure4_grid_routes_through_batch_backend_with_jobs(
-            self, tmp_path):
+    def test_figure4_grid_routes_through_batch_backend_with_jobs(self):
         """Acceptance: same grid under --jobs — each pool task returns its
         group's executed-backend record to the parent."""
         sweep = self._figure4_grid()
-        SweepEngine(trace_cache=str(tmp_path)).run(sweep)
-
-        engine = SweepEngine(jobs=2, trace_cache=str(tmp_path))
+        engine = SweepEngine(jobs=2)
         results = engine.run(sweep)
         assert len(results) == 16
-        assert engine.last_trace_builds == 0
-        assert len(engine.last_batches) >= 4
+        assert engine.last_trace_builds == 4
+        assert len(engine.last_batches) == 4
         assert all(mode in ("lowered", "vector")
                    for _n, mode in engine.last_batches)
         assert sum(n for n, _mode in engine.last_batches) == 16
@@ -460,13 +500,12 @@ class TestBackendRouting:
 
 
 class TestColumnFastPathAccounting:
-    """PR 5 regression: the column emission fast path is what the engine's
-    builds run through, and the build-counter / zero-build guarantees of
-    the trace cache hold for it unchanged."""
+    """The column emission fast path is what the engine's builds run
+    through, and the build counter and zero-build warm re-run hold for
+    it."""
 
     def test_cold_build_goes_through_columns_and_fires_hook(self, tmp_path):
         from repro.kernels.base import add_build_hook, remove_build_hook
-        from repro.sweep.tracecache import TraceCache
 
         counts = []
         hook = add_build_hook(lambda kernel, isa: counts.append((kernel, isa)))
@@ -479,31 +518,25 @@ class TestColumnFastPathAccounting:
         assert len(counts) == distinct, \
             "column-path builds must fire the build hook"
         assert engine.last_trace_builds == distinct
-        # the cache entries written from columns revive as full traces
-        cache = TraceCache(os.path.join(str(tmp_path), "traces"))
-        point = SweepPoint("comp", "mmx", MachineConfig.for_way(4), _SPEC)
-        revived = cache.get(point)
-        assert revived is not None
+        # the builds the engine ran were column-mode
         direct = run_kernel("comp", "mmx", config=MachineConfig.for_way(4),
                             spec=_SPEC)
-        assert revived.to_payload() == direct.build.trace.to_payload()
+        assert direct.build.trace.columns is not None
 
     def test_warm_sweep_does_zero_builds_through_new_path(self, tmp_path):
         from repro.kernels.base import add_build_hook, remove_build_hook
 
         SweepEngine(jobs=1, cache_dir=str(tmp_path)).run(small_sweep())
-        # warm *miss*: a configuration the result cache has not seen, so
-        # every point simulates — off cached traces, zero front-end builds
-        miss = SweepSpec.make(kernels=_KERNELS,
-                              configs=[MachineConfig.for_way(2)], spec=_SPEC)
+        # warm re-run: every point is a result-cache hit, so no front-end
+        # build runs at all
         counts = []
         hook = add_build_hook(lambda kernel, isa: counts.append((kernel, isa)))
         try:
             engine = SweepEngine(jobs=1, cache_dir=str(tmp_path))
-            results = engine.run(miss)
+            results = engine.run(small_sweep())
         finally:
             remove_build_hook(hook)
-        assert engine.last_cached == 0
-        assert engine.last_simulated == len(results)
+        assert engine.last_cached == len(results)
+        assert engine.last_simulated == 0
         assert counts == [], "warm sweeps must do zero front-end builds"
         assert engine.last_trace_builds == 0

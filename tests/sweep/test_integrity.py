@@ -23,7 +23,6 @@ from repro.sweep import (
     SweepEngine,
     SweepPoint,
     SweepSpec,
-    TraceCache,
     cache_stats,
     clear_cache,
     gc_cache,
@@ -37,7 +36,7 @@ _POINT = SweepPoint("comp", "mom", _CFG, _SPEC)
 
 
 def _populate(cache_dir: str) -> int:
-    """One-point sweep into ``cache_dir`` (fills result + trace stores)."""
+    """One-point sweep into ``cache_dir`` (fills the result store)."""
     sweep = SweepSpec.make(kernels=["comp"], configs=[_CFG], spec=_SPEC)
     SweepEngine(cache_dir=cache_dir).run(sweep)
     return len(sweep)
@@ -46,10 +45,6 @@ def _populate(cache_dir: str) -> int:
 def _result_path(cache_dir: str) -> str:
     cache = ResultCache(cache_dir)
     return cache._path(cache.key_for(_POINT))
-
-
-def _trace_path(cache_dir: str) -> str:
-    return TraceCache(os.path.join(cache_dir, "traces")).path_for(_POINT)
 
 
 class TestChecksumHelpers:
@@ -179,46 +174,6 @@ class TestResultCacheQuarantine:
             assert verify_checksum(json.load(f))
 
 
-class TestTraceCacheQuarantine:
-    def test_unparseable_entry_is_quarantined_miss(self, tmp_path):
-        _populate(str(tmp_path))
-        path = _trace_path(str(tmp_path))
-        with open(path, "w") as f:
-            f.write("{ this is not json")
-
-        cache = TraceCache(os.path.join(str(tmp_path), "traces"))
-        assert cache.get(_POINT) is None
-        assert cache.corrupt == 1
-        assert os.path.exists(path + CORRUPT_SUFFIX)
-
-    def test_checksum_mismatch_is_quarantined_miss(self, tmp_path):
-        _populate(str(tmp_path))
-        path = _trace_path(str(tmp_path))
-        with open(path) as f:
-            entry = json.load(f)
-        entry["trace"]["instrs"] = entry["trace"]["instrs"][:-1]
-        with open(path, "w") as f:
-            json.dump(entry, f)
-
-        cache = TraceCache(os.path.join(str(tmp_path), "traces"))
-        assert cache.get(_POINT) is None
-        assert cache.corrupt == 1
-        assert os.path.exists(path + CORRUPT_SUFFIX)
-
-    def test_legacy_entry_without_stamp_still_hits(self, tmp_path):
-        _populate(str(tmp_path))
-        path = _trace_path(str(tmp_path))
-        with open(path) as f:
-            entry = json.load(f)
-        del entry["checksum"]
-        with open(path, "w") as f:
-            json.dump(entry, f)
-
-        cache = TraceCache(os.path.join(str(tmp_path), "traces"))
-        assert cache.get(_POINT) is not None
-        assert cache.corrupt == 0
-
-
 class TestManageCorruptSweep:
     def _quarantine_one(self, cache_dir: str) -> str:
         path = _result_path(cache_dir)
@@ -234,7 +189,7 @@ class TestManageCorruptSweep:
         assert stats.corrupt_files == 1
         assert stats.corrupt_bytes == os.path.getsize(corrupt)
         # The quarantined file is no longer a cache entry.
-        assert stats.entries["results"] == points - 1
+        assert stats.total_entries == points - 1
         assert stats.to_dict()["corrupt_files"] == 1
 
     def test_gc_sweeps_quarantined_files_without_bounds(self, tmp_path):

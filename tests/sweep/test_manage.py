@@ -1,7 +1,6 @@
 """Tests of the cache management layer (stats / GC / clear) and its CLI.
 
-Eviction is exercised against a real engine-populated cache root so both
-sections — result entries and trace entries — are present.
+Eviction is exercised against a real engine-populated cache root.
 """
 
 from __future__ import annotations
@@ -41,45 +40,21 @@ class TestStats:
         assert stats.total_bytes == 0
         assert stats.oldest_mtime is None
 
-    def test_counts_both_sections(self, tmp_path):
+    def test_counts_result_entries(self, tmp_path):
         points = _populate(str(tmp_path))
         stats = cache_stats(str(tmp_path))
-        assert stats.entries["results"] == points
-        assert stats.entries["traces"] == points  # one trace per (kernel, isa)
-        assert stats.total_entries == 2 * points
-        assert stats.bytes["results"] > 0
-        assert stats.bytes["traces"] > stats.bytes["results"]
+        assert stats.total_entries == points
+        assert stats.sqlite_entries == 0
+        assert stats.total_bytes > 0
         assert stats.oldest_mtime is not None
         assert stats.newest_mtime >= stats.oldest_mtime
-
-    def test_counts_lowered_payloads(self, tmp_path):
-        """Engine-written trace entries all carry a live lowered payload;
-        a version-stale payload is classified separately."""
-        import json
-
-        points = _populate(str(tmp_path))
-        stats = cache_stats(str(tmp_path))
-        assert stats.lowered_entries == points
-        assert stats.stale_lowered_entries == 0
-
-        entry = next(e for e in iter_cache_entries(str(tmp_path))
-                     if e.section == "traces")
-        with open(entry.path) as f:
-            data = json.load(f)
-        data["lowered"]["lowering_version"] = "not-the-live-version"
-        with open(entry.path, "w") as f:
-            json.dump(data, f)
-        stats = cache_stats(str(tmp_path))
-        assert stats.lowered_entries == points - 1
-        assert stats.stale_lowered_entries == 1
-
 
 class TestGC:
     def test_noop_without_bounds(self, tmp_path):
         points = _populate(str(tmp_path))
         report = gc_cache(str(tmp_path))
         assert report.removed == 0
-        assert report.kept == 2 * points
+        assert report.kept == points
 
     def test_size_bound_evicts_oldest_first(self, tmp_path):
         _populate(str(tmp_path))
@@ -99,7 +74,7 @@ class TestGC:
     def test_size_bound_zero_clears_everything(self, tmp_path):
         points = _populate(str(tmp_path))
         report = gc_cache(str(tmp_path), max_bytes=0)
-        assert report.removed == 2 * points
+        assert report.removed == points
         assert cache_stats(str(tmp_path)).total_entries == 0
 
     def test_age_bound_evicts_only_old_entries(self, tmp_path):
@@ -139,43 +114,6 @@ class TestGC:
         gc_cache(str(tmp_path), max_bytes=keep_bytes)
         assert os.path.exists(read_path), "recently read entry was evicted"
 
-    def test_trace_reads_touch_entries_too(self, tmp_path):
-        from repro.sweep import SweepPoint, TraceCache
-
-        _populate(str(tmp_path))
-        cache = TraceCache(os.path.join(str(tmp_path), "traces"))
-        point = SweepPoint("comp", "mom", MachineConfig.for_way(4), _SPEC)
-        path = cache.path_for(point)
-        past = time.time() - 9999
-        os.utime(path, (past, past))
-        assert cache.get(point) is not None
-        assert os.stat(path).st_mtime > past + 9000
-
-    def test_keep_traces_protects_the_trace_section(self, tmp_path):
-        _populate(str(tmp_path))
-        before = cache_stats(str(tmp_path))
-        report = gc_cache(str(tmp_path), max_bytes=0, keep=("traces",))
-        after = cache_stats(str(tmp_path))
-        assert after.entries["traces"] == before.entries["traces"]
-        assert after.entries["results"] == 0
-        assert report.kept == before.entries["traces"]
-
-    def test_keep_results_with_age_bound(self, tmp_path):
-        _populate(str(tmp_path))
-        now = time.time()
-        for entry in iter_cache_entries(str(tmp_path)):
-            os.utime(entry.path, (now - 10 * 86400, now - 10 * 86400))
-        before = cache_stats(str(tmp_path))
-        gc_cache(str(tmp_path), max_age_seconds=86400, now=now,
-                 keep=("results",))
-        after = cache_stats(str(tmp_path))
-        assert after.entries["results"] == before.entries["results"]
-        assert after.entries["traces"] == 0
-
-    def test_unknown_keep_section_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            gc_cache(str(tmp_path), max_bytes=0, keep=("nonsense",))
-
     def test_engine_recovers_after_gc(self, tmp_path):
         """A GC'd cache is a cold cache, never a broken one."""
         sweep = SweepSpec.make(kernels=["comp"],
@@ -192,7 +130,7 @@ class TestClear:
     def test_clear_removes_everything(self, tmp_path):
         points = _populate(str(tmp_path))
         report = clear_cache(str(tmp_path))
-        assert report.removed == 2 * points
+        assert report.removed == points
         assert cache_stats(str(tmp_path)).total_entries == 0
 
 
@@ -231,7 +169,7 @@ class TestTmpFiles:
         young = self._orphan(tmp_path, age_seconds=0, name="b.tmp")
         report = gc_cache(str(tmp_path))
         assert report.removed == 0          # no bounds: no entry evicted
-        assert report.kept == 2 * points
+        assert report.kept == points
         assert report.tmp_removed == 1
         assert report.tmp_bytes_freed == 64
         assert not os.path.exists(stale)
@@ -252,6 +190,8 @@ class TestTmpFiles:
         assert not os.path.exists(fresh)
 
     def test_trace_section_orphans_are_seen_too(self, tmp_path):
+        """Orphans under a ``traces/`` directory an older version left
+        behind are still counted and swept."""
         from repro.sweep.manage import TMP_GRACE_SECONDS
 
         path = os.path.join(str(tmp_path), "traces", "cd", "x.tmp")
@@ -283,18 +223,8 @@ class TestCacheCLI:
         assert main(["cache", "stats", "--cache-dir", str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert f"results  {points:6d} entries" in out
-        assert f"traces   {points:6d} entries" in out
-        assert f"lowered payloads: {points} current" in out
+        assert "traces" not in out
         assert "least recently used entry" in out
-
-    def test_gc_command_keep_traces(self, tmp_path, capsys):
-        _populate(str(tmp_path))
-        assert main(["cache", "gc", "--cache-dir", str(tmp_path),
-                     "--max-mb", "0", "--keep-traces"]) == 0
-        capsys.readouterr()
-        stats = cache_stats(str(tmp_path))
-        assert stats.entries["results"] == 0
-        assert stats.entries["traces"] > 0
 
     def test_gc_command_size_limit(self, tmp_path, capsys):
         _populate(str(tmp_path))
@@ -310,7 +240,7 @@ class TestCacheCLI:
                      "--max-age-days", "1"]) == 0
         out = capsys.readouterr().out
         assert "evicted 0 entries" in out
-        assert cache_stats(str(tmp_path)).total_entries == 2 * points
+        assert cache_stats(str(tmp_path)).total_entries == points
 
     def test_clear_command(self, tmp_path, capsys):
         _populate(str(tmp_path))

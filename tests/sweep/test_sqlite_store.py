@@ -172,7 +172,7 @@ class TestEngineParity:
         SweepEngine(cache_dir=str(tmp_path), result_store="json").run(sweep)
         SweepEngine(cache_dir=str(tmp_path), result_store="sqlite").run(sweep)
         stats = cache_stats(str(tmp_path))
-        assert stats.entries["results"] == 2 * len(sweep)
+        assert stats.total_entries == 2 * len(sweep)
         assert stats.sqlite_entries == len(sweep)
 
 
@@ -180,9 +180,9 @@ class TestManagement:
     def test_stats_counts_sqlite_rows(self, tmp_path):
         results, sweep = _populate(str(tmp_path))
         stats = cache_stats(str(tmp_path))
-        assert stats.entries["results"] == len(sweep)
+        assert stats.total_entries == len(sweep)
         assert stats.sqlite_entries == len(sweep)
-        assert stats.bytes["results"] > 0
+        assert stats.total_bytes > 0
 
     def test_gc_size_bound_evicts_rows(self, tmp_path):
         _populate(str(tmp_path))
@@ -202,8 +202,7 @@ class TestManagement:
         with sqlite3.connect(db_path(str(tmp_path))) as conn:
             conn.executemany("UPDATE results SET atime = ? WHERE key = ?",
                              [(now - 10 * 86400, k) for k in old])
-        report = gc_cache(str(tmp_path), max_age_seconds=86400, now=now,
-                          keep=("traces",))
+        report = gc_cache(str(tmp_path), max_age_seconds=86400, now=now)
         assert report.removed == len(old)
         assert {k for k, _, _ in iter_rows(str(tmp_path))} == (
             {k for k, _, _ in rows} - set(old))
@@ -217,24 +216,14 @@ class TestManagement:
         store.close()
         hot = store.key_for(results[0].point)
         sizes = {k: size for k, size, _ in iter_rows(str(tmp_path))}
-        # Exempt traces still count toward the bound, so budget for them.
-        trace_bytes = cache_stats(str(tmp_path)).bytes["traces"]
-        gc_cache(str(tmp_path), max_bytes=trace_bytes + sizes[hot] + 1,
-                 keep=("traces",))
+        gc_cache(str(tmp_path), max_bytes=sizes[hot] + 1)
         assert {k for k, _, _ in iter_rows(str(tmp_path))} == {hot}
-
-    def test_keep_results_protects_rows(self, tmp_path):
-        _populate(str(tmp_path))
-        before = len(list(iter_rows(str(tmp_path))))
-        gc_cache(str(tmp_path), max_bytes=0, keep=("results",))
-        assert len(list(iter_rows(str(tmp_path)))) == before
-        assert cache_stats(str(tmp_path)).entries["traces"] == 0
 
     def test_clear_drops_the_database_file(self, tmp_path):
         _, sweep = _populate(str(tmp_path))
         total = cache_stats(str(tmp_path)).total_entries
         report = clear_cache(str(tmp_path))
-        assert report.removed == total  # every row and every trace
+        assert report.removed == total  # every row
         assert not os.path.exists(db_path(str(tmp_path)))
         assert cache_stats(str(tmp_path)).total_entries == 0
 
@@ -252,7 +241,6 @@ class TestManagement:
                 if e.key is not None]
         assert rows
         assert all(e.path == db_path(str(tmp_path)) for e in rows)
-        assert all(e.section == "results" for e in rows)
 
 
 class TestCLI:
@@ -280,4 +268,4 @@ class TestCLI:
         assert main(["cache", "stats", "--cache-dir", str(tmp_path),
                      "--json"]) == 0
         data = json.loads(capsys.readouterr().out)
-        assert data["sqlite_entries"] == data["entries"]["results"]
+        assert data["sqlite_entries"] == data["total_entries"]

@@ -202,7 +202,8 @@ class TestStreamJsonlCLI:
             assert line["kernel"] == "comp"
             assert set(line) >= {"index", "config", "mem_latency",
                                  "instructions", "operations", "ipc",
-                                 "cached", "trace_cached"}
+                                 "cached", "journaled"}
+            assert "trace_cached" not in line
 
     def test_stream_jsonl_appends_across_runs(self, tmp_path, capsys):
         from repro.cli import main

@@ -72,8 +72,29 @@ class TestCommands:
         assert "1 trace build(s)" in out
         assert main(argv) == 0
         out = capsys.readouterr().out
-        assert "0 point(s) simulated, 1 from cache" in out
-        assert "0 trace hit(s), 0 trace build(s)" in out
+        assert "0 point(s) simulated, 1 from cache; 0 trace build(s)" in out
+        assert "trace hit" not in out
+
+    def test_unusable_cache_dir_is_one_line_exit_2(self, capsys, tmp_path):
+        blocker = tmp_path / "file"
+        blocker.write_text("not a directory")
+        bad = str(blocker / "cache")
+        assert main(["sweep", "--kernels", "comp", "--ways", "1",
+                     "--latencies", "1", "--scale", "1",
+                     "--cache-dir", bad]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("repro: error: cache directory")
+        assert bad in captured.err
+
+    def test_serve_rejects_unusable_cache_dir(self, capsys, tmp_path):
+        blocker = tmp_path / "file"
+        blocker.write_text("not a directory")
+        assert main(["serve", "--state-dir", str(tmp_path / "state"),
+                     "--cache-dir", str(blocker / "cache")]) == 2
+        assert capsys.readouterr().err.startswith(
+            "repro: error: cache directory")
 
     def test_sweep_seed_applies_without_scale(self, capsys, tmp_path):
         """--seed must flow into the workload spec even when each kernel
@@ -92,10 +113,8 @@ class TestCommands:
                 with open(os.path.join(root, name)) as f:
                     entries.append(json.load(f))
         results = [e for e in entries if "sim" in e]
-        traces = [e for e in entries if "trace" in e]
-        assert len(results) == 1
-        assert len(traces) == 1, "cache-dir sweeps also populate the trace cache"
-        for entry in results + traces:
+        assert len(results) == len(entries) == 1
+        for entry in results:
             assert entry["workload"]["seed"] == 7
             assert entry["workload"]["scale"] == get_kernel("comp").default_scale
 
@@ -141,11 +160,10 @@ class TestCacheStatsJson:
                      "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["cache_dir"] == str(tmp_path)
-        assert payload["entries"] == {"results": 1, "traces": 1}
-        assert payload["total_entries"] == 2
-        assert payload["total_bytes"] == sum(payload["bytes"].values())
-        assert payload["lowered_entries"] == 1
-        assert payload["stale_lowered_entries"] == 0
+        assert payload["total_entries"] == 1
+        assert payload["sqlite_entries"] == 0
+        assert payload["total_bytes"] > 0
+        assert "traces" not in json.dumps(payload)
         assert payload["oldest_mtime"] <= payload["newest_mtime"]
 
     def test_stats_human_format_unchanged_without_flag(self, capsys,

@@ -25,11 +25,11 @@ def calib_file(tmp_path, monkeypatch):
 
 
 class TestSyntheticTrace:
-    def test_deterministic_and_mixed(self):
+    def test_deterministic_and_mixed(self, assert_same_trace):
         a = synthetic_trace(256)
         b = synthetic_trace(256)
         assert len(a) >= 256
-        assert a.to_payload() == b.to_payload()
+        assert_same_trace(a, b)
         lowered = a.lower()
         # a useful calibration trace exercises several FU classes
         assert len(lowered.shapes) >= 4

@@ -5,13 +5,11 @@ must be *bit-identical* to the object-level ``run()`` — same cycles, same
 stall breakdown, same per-instruction timeline — for every trace and every
 machine configuration.  These tests pin that across all kernels x ISAs x a
 configuration grid, on adversarial hand-written traces, and on randomly
-generated ones; plus the lowered payload round-trip and the single-use
-core guard.
+generated ones; plus the lowering memo and the single-use core guard.
 """
 
 from __future__ import annotations
 
-import json
 from functools import lru_cache
 
 import pytest
@@ -22,7 +20,7 @@ from repro.kernels.base import ISA_VARIANTS
 from repro.kernels.registry import kernel_names
 from repro.timing.config import MachineConfig
 from repro.timing.core import OutOfOrderCore, simulate_trace
-from repro.timing.lowered import (LOWERING_VERSION, LoweredTrace, lower_trace)
+from repro.timing.lowered import lower_trace
 from repro.trace.container import Trace
 from repro.trace.instruction import DynInstr, RegRef
 from repro.workloads.generators import WorkloadSpec
@@ -195,75 +193,6 @@ def test_lowered_equals_object_loop_on_random_traces(trace):
 
 
 # ----------------------------------------------------------------------
-# Payload round-trip and versioning.
-
-class TestLoweredPayload:
-    def test_round_trip_survives_json_and_simulates_identically(self):
-        trace = _kernel_trace("comp", "mom")
-        lowered = lower_trace(trace)
-        revived = LoweredTrace.from_payload(
-            json.loads(json.dumps(lowered.to_payload())))
-        for config in (MachineConfig.for_way(1), MachineConfig.for_way(4)):
-            a = OutOfOrderCore(config).run_lowered(lowered)
-            b = OutOfOrderCore(config).run_lowered(revived)
-            assert a == b
-
-    def test_round_trip_preserves_structure(self):
-        trace = _kernel_trace("idct", "mdmx")
-        lowered = lower_trace(trace)
-        revived = LoweredTrace.from_payload(lowered.to_payload())
-        assert revived.num_instructions == lowered.num_instructions
-        assert revived.total_ops == lowered.total_ops
-        assert revived.num_regs == lowered.num_regs
-        assert revived.shapes == lowered.shapes
-        assert revived.shape_ids == lowered.shape_ids
-        assert revived.srcs == lowered.srcs
-        assert revived.dsts == lowered.dsts
-        assert revived.opcodes == lowered.opcodes
-        assert revived.opcode_ids == lowered.opcode_ids
-
-    def test_unknown_format_rejected(self):
-        payload = lower_trace(_kernel_trace("comp", "scalar")).to_payload()
-        payload["format"] = 99
-        with pytest.raises(ValueError):
-            LoweredTrace.from_payload(payload)
-
-    def test_stale_lowering_version_rejected(self):
-        payload = lower_trace(_kernel_trace("comp", "scalar")).to_payload()
-        assert payload["lowering_version"] == LOWERING_VERSION
-        payload["lowering_version"] = "not-the-live-version"
-        with pytest.raises(ValueError):
-            LoweredTrace.from_payload(payload)
-
-    def test_truncated_instruction_sequence_rejected(self):
-        """A corrupt-but-parseable payload must never simulate short: a
-        truncated row sequence with an intact instruction count is an
-        error, not a shorter trace."""
-        payload = lower_trace(_kernel_trace("comp", "scalar")).to_payload()
-        payload["instrs"] = payload["instrs"][: len(payload["instrs"]) // 2]
-        with pytest.raises(ValueError, match="instructions"):
-            LoweredTrace.from_payload(payload)
-
-    def test_out_of_range_ids_rejected(self):
-        base = lower_trace(_kernel_trace("comp", "scalar")).to_payload()
-
-        bad_reg = json.loads(json.dumps(base))
-        bad_reg["num_regs"] = 1
-        with pytest.raises(ValueError, match="register"):
-            LoweredTrace.from_payload(bad_reg)
-
-        bad_shape = json.loads(json.dumps(base))
-        bad_shape["shapes"] = bad_shape["shapes"][:1]
-        with pytest.raises(ValueError):
-            LoweredTrace.from_payload(bad_shape)
-
-        bad_pool_row = json.loads(json.dumps(base))
-        bad_pool_row["pool"][0][2] = [0, 99, 0]  # unknown rename pool index
-        with pytest.raises(ValueError, match="pool"):
-            LoweredTrace.from_payload(bad_pool_row)
-
-
-# ----------------------------------------------------------------------
 # Trace.lower() memoisation and the single-use core guard.
 
 class TestLowerMemoisation:
@@ -279,13 +208,6 @@ class TestLowerMemoisation:
         second = trace.lower()
         assert second is not first
         assert second.num_instructions == 2
-
-    def test_attach_lowered_rejects_length_mismatch(self):
-        trace = Trace("t", "test")
-        trace.append(instr("a", OpClass.IALU))
-        other = Trace("o", "test")
-        with pytest.raises(ValueError):
-            trace.attach_lowered(lower_trace(other))
 
 
 class TestSingleUseCore:
@@ -312,7 +234,8 @@ class TestSingleUseCore:
 class TestNdarrayColumns:
     """The lowered form's NumPy columns (flat CSR srcs/dsts, shape/opcode
     id columns) must mirror the canonical list rows exactly — the vector
-    batch backend consumes the columns, the payload round-trip the lists."""
+    batch backend consumes the columns, the lowered interpreter the
+    lists."""
 
     def test_columns_mirror_list_rows(self):
         lowered = lower_trace(_kernel_trace("motion1", "mom"))
@@ -329,15 +252,6 @@ class TestNdarrayColumns:
                         lowered.dst_pool_flat[lo:hi],
                         lowered.dst_acc_flat[lo:hi])] \
                 == [tuple(d) for d in lowered.dsts[i]]
-
-    def test_columns_survive_payload_round_trip(self):
-        lowered = lower_trace(_kernel_trace("idct", "mdmx"))
-        revived = LoweredTrace.from_payload(lowered.to_payload())
-        assert (revived.src_flat == lowered.src_flat).all()
-        assert (revived.src_indptr == lowered.src_indptr).all()
-        assert (revived.dst_reg_flat == lowered.dst_reg_flat).all()
-        assert (revived.dst_pool_flat == lowered.dst_pool_flat).all()
-        assert (revived.dst_acc_flat == lowered.dst_acc_flat).all()
 
     def test_empty_trace_columns(self):
         lowered = lower_trace(Trace("empty", "test"))

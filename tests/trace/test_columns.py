@@ -2,8 +2,8 @@
 
 The contract of this PR's front-end rewrite: a trace built through the
 column recorder is indistinguishable from one built through DynInstr
-objects — byte-identical payloads, structurally identical lowerings, equal
-statistics and equal materialised instructions — across the full kernel x
+objects — equal instruction sequences, structurally identical lowerings
+and equal statistics — across the full kernel x
 ISA grid and across Hypothesis-drawn workload shapes.  Plus the mutation
 rules: adopting a lowering is zero-copy, but mutating the trace afterwards
 must invalidate the memo and never disturb the already-returned lowering.
@@ -40,36 +40,29 @@ class TestGridEquivalence:
 
     @pytest.mark.parametrize("kernel_name,isa", _GRID,
                              ids=[f"{k}-{i}" for k, i in _GRID])
-    def test_payload_lowering_stats_equal(self, kernel_name, isa, tiny_spec):
+    def test_payload_lowering_stats_equal(self, kernel_name, isa, tiny_spec,
+                                          assert_same_trace):
+        """Instruction sequence, lowered columns and statistics agree."""
         column, objectp = _build_pair(kernel_name, isa, tiny_spec)
         assert column.correct and objectp.correct
         # the column trace really is column-mode, the object one is not
         assert column.trace.columns is not None
         assert objectp.trace.columns is None
-        # payload byte-equality (this is what the trace cache stores)
-        assert column.trace.to_payload() == objectp.trace.to_payload()
-        # lowering structural equality via its payload encoding
-        assert (column.trace.lower().to_payload()
-                == objectp.trace.lower().to_payload())
-        # statistics (column-native pass vs per-instruction pass)
+        # statistics (column-native pass vs per-instruction pass), taken
+        # before anything materialises the column trace
         assert summarize_trace(column.trace) == summarize_trace(objectp.trace)
+        assert_same_trace(column.trace, objectp.trace)
 
     @pytest.mark.parametrize("kernel_name,isa", _GRID[::7],
                              ids=[f"{k}-{i}" for k, i in _GRID[::7]])
     def test_materialised_instructions_equal(self, kernel_name, isa,
-                                             tiny_spec):
+                                             tiny_spec, assert_same_trace):
         column, objectp = _build_pair(kernel_name, isa, tiny_spec)
         assert len(column.trace) == len(objectp.trace)
         assert list(column.trace) == list(objectp.trace)
         # materialisation does not change the authoritative storage
         assert column.trace.columns is not None
-        assert column.trace.to_payload() == objectp.trace.to_payload()
-
-    def test_payload_round_trip(self, tiny_spec):
-        column, _ = _build_pair("motion1", "mom", tiny_spec)
-        revived = Trace.from_payload(column.trace.to_payload())
-        assert list(revived) == list(column.trace)
-        assert revived.to_payload() == column.trace.to_payload()
+        assert_same_trace(column.trace, objectp.trace)
 
 
 class TestHypothesisWorkloadShapes:
@@ -81,13 +74,12 @@ class TestHypothesisWorkloadShapes:
            isa=st.sampled_from(list(ISA_VARIANTS)),
            scale=st.integers(min_value=1, max_value=3),
            seed=st.integers(min_value=0, max_value=2**31 - 1))
-    def test_column_equals_object(self, kernel_name, isa, scale, seed):
+    def test_column_equals_object(self, kernel_name, isa, scale, seed,
+                                  assert_same_trace):
         spec = WorkloadSpec(scale=scale, seed=seed)
         column, objectp = _build_pair(kernel_name, isa, spec)
-        assert column.trace.to_payload() == objectp.trace.to_payload()
-        assert (column.trace.lower().to_payload()
-                == objectp.trace.lower().to_payload())
         assert summarize_trace(column.trace) == summarize_trace(objectp.trace)
+        assert_same_trace(column.trace, objectp.trace)
 
 
 def _emit_some(trace: Trace, n: int = 3) -> None:
@@ -128,7 +120,7 @@ class TestMutationAfterAdoption:
         assert relowered.num_instructions == 6
         assert relowered.shape_ids[:4] == lowered.shape_ids
 
-    def test_adopted_lowering_matches_lower_trace(self):
+    def test_adopted_lowering_matches_lower_trace(self, assert_same_lowering):
         from repro.timing.lowered import lower_trace
 
         trace = Trace(name="t", isa="scalar")
@@ -136,15 +128,7 @@ class TestMutationAfterAdoption:
         adopted = trace.lower()
         # reference lowering over the materialised objects
         reference = lower_trace(trace)
-        assert adopted.to_payload() == reference.to_payload()
-
-    def test_attach_lowered_checks_column_length(self):
-        trace = Trace(name="t", isa="scalar")
-        _emit_some(trace, 4)
-        other = Trace(name="t", isa="scalar")
-        _emit_some(other, 3)
-        with pytest.raises(ValueError):
-            trace.attach_lowered(other.lower())
+        assert_same_lowering(adopted, reference)
 
 
 class TestEmissionModes:
@@ -201,17 +185,15 @@ class TestEmissionModes:
 
 
 class TestColdSweepBuildsNoObjects:
-    """The tentpole's end state: a cold sweep point goes builders ->
-    columns -> lowered arrays -> cached payload without materialising a
-    single DynInstr."""
+    """A cold sweep point goes builders -> columns -> lowered arrays ->
+    statistics without materialising a single DynInstr."""
 
-    def test_build_lower_payload_without_materialisation(self, tiny_spec):
+    def test_build_lower_summarize_without_materialisation(self, tiny_spec):
         kernel = KERNELS["comp"]
         result = kernel.run_variant("mmx", spec=tiny_spec)
         trace = result.trace
         assert trace.columns is not None
         trace.lower()
-        trace.to_payload()
         summarize_trace(trace)
         # _instrs stays unmaterialised through the whole cold pipeline
         assert trace._instrs is None

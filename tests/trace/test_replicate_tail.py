@@ -3,7 +3,7 @@
 Block emission relies on one container primitive: copy the record tail
 ``[start:]`` onto the end of the trace ``times`` more times.  For column
 traces this must be indistinguishable from re-emitting the same calls
-(payload, lowering, statistics, ``total_ops``), honour copy-on-write after
+(instructions, lowering, statistics, ``total_ops``), honour copy-on-write after
 a lowering adopted the columns, and fall back to materialised-instruction
 duplication in object mode.
 """
@@ -49,29 +49,29 @@ def _replicated(times: int, columns: bool) -> Trace:
 
 
 class TestColumnMode:
-    def test_matches_reemission(self):
+    def test_matches_reemission(self, assert_same_trace):
         rep = _replicated(7, columns=True)
         ref = _reference(7, columns=True)
         assert rep.columns is not None
         assert len(rep) == len(ref)
-        assert rep.to_payload() == ref.to_payload()
-        assert rep.lower().to_payload() == ref.lower().to_payload()
         assert summarize_trace(rep) == summarize_trace(ref)
+        assert_same_trace(rep, ref)
 
     def test_total_ops_accumulates(self):
         rep = _replicated(5, columns=True)
         # prefix: 2 x 1 op; each iteration: 3 x 1 + 1 x 2 ops
         assert rep.columns.total_ops == 2 + 5 * 5
 
-    def test_zero_times_and_empty_tail_are_noops(self):
+    def test_zero_times_and_empty_tail_are_noops(self, assert_same_trace):
         trace = Trace(name="t", isa="scalar")
         _emit_prefix(trace)
-        payload = trace.to_payload()
         trace.replicate_tail(0, 0)
         trace.replicate_tail(len(trace), 3)
-        assert trace.to_payload() == payload
+        untouched = Trace(name="t", isa="scalar")
+        _emit_prefix(untouched)
+        assert_same_trace(trace, untouched)
 
-    def test_copy_on_write_after_adoption(self):
+    def test_copy_on_write_after_adoption(self, assert_same_lowering):
         """A lowering that adopted the column arrays must not grow when the
         trace keeps replicating afterwards."""
         trace = _replicated(2, columns=True)
@@ -83,9 +83,9 @@ class TestColumnMode:
         assert len(lowered.shape_ids) == n
         relowered = trace.lower()
         assert relowered.num_instructions == n + 12
-        assert relowered.to_payload() == _reference(5, True).lower().to_payload()
+        assert_same_lowering(relowered, _reference(5, True).lower())
 
-    def test_interleaved_emit_and_replicate(self):
+    def test_interleaved_emit_and_replicate(self, assert_same_trace):
         """Emission may continue after a block append (next loop nest)."""
         trace = Trace(name="t", isa="scalar", columns=True)
         _emit_prefix(trace)
@@ -104,18 +104,16 @@ class TestColumnMode:
         _emit_prefix(ref)
         for _ in range(2):
             _emit_loop_iter(ref)
-        assert trace.to_payload() == ref.to_payload()
-        assert trace.lower().to_payload() == ref.lower().to_payload()
+        assert_same_trace(trace, ref)
 
 
 class TestObjectMode:
-    def test_matches_reemission(self):
+    def test_matches_reemission(self, assert_same_trace):
         rep = _replicated(6, columns=False)
         ref = _reference(6, columns=False)
         assert rep.columns is None
-        assert rep.to_payload() == ref.to_payload()
-        assert rep.lower().to_payload() == ref.lower().to_payload()
+        assert_same_trace(rep, ref)
 
-    def test_object_equals_column(self):
-        assert (_replicated(4, columns=False).to_payload()
-                == _replicated(4, columns=True).to_payload())
+    def test_object_equals_column(self, assert_same_trace):
+        assert_same_trace(_replicated(4, columns=False),
+                          _replicated(4, columns=True))
