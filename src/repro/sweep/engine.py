@@ -232,7 +232,7 @@ def _simulate_group(points: Sequence[SweepPoint], check: bool,
     stats = summarize_trace(trace)
     sims = simulate_batch(trace, [p.config for p in points], backend=backend)
     execution = (len(points),
-                 resolve_execution(backend, len(points), len(trace)))
+                 resolve_execution(backend, len(points), trace=trace))
     return [(sim, stats) for sim in sims], execution
 
 

@@ -22,7 +22,7 @@ pure-Python model fast enough to sweep the paper's full parameter space.
 from __future__ import annotations
 
 import math
-from heapq import heappop, heappush
+from heapq import heapreplace
 from typing import Dict, Optional, Union
 
 from repro.isa.opclasses import OpClass, RegFile
@@ -49,6 +49,11 @@ MODEL_VERSION = "1"
 #: the three can never drift.
 VL_RENAME_SLOTS = 8
 
+# Sentinels of the lowered interpreter: a rename pool with no head-room
+# limit is never full, and history pads never bind a bound.
+_UNBOUNDED = 1 << 62
+_NEVER = -(1 << 62)
+
 
 # Domain names used for issue queues.
 _DOMAIN_INT = "int"
@@ -62,6 +67,18 @@ def _domain_of(opclass: OpClass) -> str:
     if opclass.is_media:
         return _DOMAIN_MEDIA
     return _DOMAIN_INT
+
+
+def _rename_headroom(config: MachineConfig) -> Dict[RegFile, int]:
+    """Rename slots per register file: physical minus architectural
+    registers (<= 0 means unconstrained)."""
+    return {
+        RegFile.INT: config.phys_int_regs - config.arch_int_regs,
+        RegFile.MEDIA: config.phys_media_regs - config.arch_media_regs,
+        RegFile.MATRIX: config.phys_matrix_regs - config.arch_matrix_regs,
+        RegFile.ACC: config.phys_acc_regs - config.arch_acc_regs,
+        RegFile.VL: VL_RENAME_SLOTS,
+    }
 
 
 def occupancy_of(config: MachineConfig, opclass: OpClass, vly: int,
@@ -110,69 +127,20 @@ class OutOfOrderCore:
     """
 
     def __init__(self, config: MachineConfig) -> None:
+        # Fail at construction, not mid-run: with no unit (or no issue
+        # slot) an instruction can never issue, and the issue searches of
+        # both loops would scan forever.
+        for name, count in (("ialu", config.num_int_alu),
+                            ("imul", config.num_int_mul),
+                            ("mem", config.num_mem_ports),
+                            ("media", config.num_media_fu)):
+            if count < 1:
+                raise ValueError(
+                    f"functional unit pool {name!r} needs >= 1 unit")
+        if config.issue_width < 1:
+            raise ValueError("bandwidth must be >= 1")
         self.config = config
         self._used = False
-
-        # Functional units.
-        self._int_alu = FunctionalUnitPool("ialu", config.num_int_alu)
-        self._int_mul = FunctionalUnitPool("imul", config.num_int_mul)
-        self._mem_ports = FunctionalUnitPool("mem", config.num_mem_ports)
-        self._media_fu = FunctionalUnitPool("media", config.num_media_fu)
-
-        # Bandwidth.
-        self._issue_bw = BandwidthLimiter(config.issue_width)
-
-        # Issue queues.
-        self._queues = {
-            _DOMAIN_INT: SlotPool("intq", config.int_queue_size),
-            _DOMAIN_MEM: SlotPool("memq", config.mem_queue_size),
-            _DOMAIN_MEDIA: SlotPool("mediaq", config.media_queue_size),
-        }
-
-        # Rename head-room per register file (physical minus architectural).
-        self._rename_pools = {
-            RegFile.INT: SlotPool(
-                "int-regs", config.phys_int_regs - config.arch_int_regs
-            ),
-            RegFile.MEDIA: SlotPool(
-                "media-regs", config.phys_media_regs - config.arch_media_regs
-            ),
-            RegFile.MATRIX: SlotPool(
-                "matrix-regs", config.phys_matrix_regs - config.arch_matrix_regs
-            ),
-            RegFile.ACC: SlotPool(
-                "acc-regs", config.phys_acc_regs - config.arch_acc_regs
-            ),
-            RegFile.VL: SlotPool("vl-regs", VL_RENAME_SLOTS),
-        }
-
-        # Fast-path lookup tables: functional-unit pool and issue queue per
-        # operation class.  Both are pure functions of the opclass, so
-        # resolving them once here removes two chains of enum-property
-        # checks (`is_memory`, `is_media`, ...) from the per-instruction
-        # simulation loop.
-        self._fu_by_class: Dict[OpClass, FunctionalUnitPool] = {}
-        self._queue_by_class: Dict[OpClass, SlotPool] = {}
-        for opclass in OpClass:
-            if opclass.is_memory:
-                fu = self._mem_ports
-            elif opclass is OpClass.IMUL:
-                fu = self._int_mul
-            elif opclass.is_media:
-                fu = self._media_fu
-            else:
-                fu = self._int_alu
-            self._fu_by_class[opclass] = fu
-            self._queue_by_class[opclass] = self._queues[_domain_of(opclass)]
-
-        # Register readiness (architectural registers all ready at cycle 0).
-        self._reg_ready: Dict[RegRef, int] = {}
-
-        # Per-instruction pipeline times (ring buffers would do; lists are
-        # simpler and the traces are modest).
-        self._rename_times: list[int] = []
-        self._commit_times: list[int] = []
-
         self._stalls: Dict[str, int] = {
             "rob": 0,
             "issue_queue": 0,
@@ -201,6 +169,45 @@ class OutOfOrderCore:
                 "(trace, configuration) pair")
         self._used = True
 
+    def _object_trackers(self) -> tuple:
+        """The reference resource trackers :meth:`run` drives.
+
+        Returns ``(fu_by_class, queue_by_class, rename_pools, issue_bw)``:
+        the functional-unit pool and issue queue per operation class (both
+        pure functions of the opclass, resolved here so the loop pays no
+        chain of enum-property checks), the rename head-room pool per
+        register file (physical minus architectural) and the issue-bandwidth
+        limiter.  Built per run, not per core: only the object loop uses
+        them.
+        """
+        cfg = self.config
+        int_alu = FunctionalUnitPool("ialu", cfg.num_int_alu)
+        int_mul = FunctionalUnitPool("imul", cfg.num_int_mul)
+        mem_ports = FunctionalUnitPool("mem", cfg.num_mem_ports)
+        media_fu = FunctionalUnitPool("media", cfg.num_media_fu)
+        queues = {
+            _DOMAIN_INT: SlotPool("intq", cfg.int_queue_size),
+            _DOMAIN_MEM: SlotPool("memq", cfg.mem_queue_size),
+            _DOMAIN_MEDIA: SlotPool("mediaq", cfg.media_queue_size),
+        }
+        rename_pools = {file: SlotPool(f"{file.value}-regs", slots)
+                        for file, slots in _rename_headroom(cfg).items()}
+        fu_by_class: Dict[OpClass, FunctionalUnitPool] = {}
+        queue_by_class: Dict[OpClass, SlotPool] = {}
+        for opclass in OpClass:
+            if opclass.is_memory:
+                fu = mem_ports
+            elif opclass is OpClass.IMUL:
+                fu = int_mul
+            elif opclass.is_media:
+                fu = media_fu
+            else:
+                fu = int_alu
+            fu_by_class[opclass] = fu
+            queue_by_class[opclass] = queues[_domain_of(opclass)]
+        return (fu_by_class, queue_by_class, rename_pools,
+                BandwidthLimiter(cfg.issue_width))
+
     # ------------------------------------------------------------------
 
     def run(self, trace: Trace, record_timeline: bool = False) -> SimResult:
@@ -218,9 +225,13 @@ class OutOfOrderCore:
         """
         self._mark_used()
         cfg = self.config
-        rename_times = self._rename_times
-        commit_times = self._commit_times
-        reg_ready = self._reg_ready
+        fu_by_class, queue_by_class, rename_pools, issue_bw = \
+            self._object_trackers()
+        # Register readiness (architectural registers all ready at cycle
+        # 0) and the per-instruction rename/commit times.
+        reg_ready: Dict[RegRef, int] = {}
+        rename_times: list[int] = []
+        commit_times: list[int] = []
         self.timeline: list[tuple] = []
 
         # The loop below is the simulator's hot path (it runs once per
@@ -231,12 +242,10 @@ class OutOfOrderCore:
         fetch_width = cfg.fetch_width
         rob_size = cfg.rob_size
         commit_width = cfg.commit_width
-        fu_by_class = self._fu_by_class
-        queue_by_class = self._queue_by_class
-        rename_pools_get = self._rename_pools.get
+        rename_pools_get = rename_pools.get
         reg_ready_get = reg_ready.get
-        bw_probe = self._issue_bw.probe
-        bw_next_slot = self._issue_bw.next_slot
+        bw_probe = issue_bw.probe
+        bw_next_slot = issue_bw.next_slot
         rename_append = rename_times.append
         commit_append = commit_times.append
         timeline_append = self.timeline.append
@@ -395,83 +404,119 @@ class OutOfOrderCore:
         object loop pays is gone: instructions are rows of flat arrays,
         register scoreboards are lists indexed by dense integer ids, the
         ``(occupancy, latency, functional unit, issue queue)`` resolution
-        happens once per *shape*, and the resource trackers
-        (:class:`~repro.timing.resources.FunctionalUnitPool`,
-        :class:`~repro.timing.resources.BandwidthLimiter`,
-        :class:`~repro.timing.resources.SlotPool`) are inlined as raw
-        dicts/heaps local to the loop.  The inlined semantics are pinned to
-        the object implementations by the golden snapshots and the
-        equivalence suite in ``tests/timing/test_lowered.py``.
+        happens once per *shape*, and the resource trackers of
+        :mod:`repro.timing.resources` are replaced by cheaper state that
+        the model's monotone times make exact:
+
+        * **Scoreboards** — free functional units and issue slots as
+          per-cycle ``int`` lists, grown on demand, searched once for the
+          earliest cycle with a unit free for the whole occupancy window
+          and a free issue slot: the fixed point the object loop's
+          alternating unit/bandwidth probes converge to.
+        * **Issue queues** — a min-heap of the ``capacity`` latest issue
+          times of the domain.  Rename times never decrease, so the object
+          loop's drained heap is exactly the set of earlier issue times
+          later than the candidate, never larger than the capacity: when
+          it is full it *is* the top-capacity set, and its head is the
+          bound.  One ``heapreplace`` per instruction, no draining.
+        * **Rename pools** — an append-only list of release times with a
+          read pointer.  Commit times never decrease, so releases arrive
+          already sorted and the object loop's heap pops them front to
+          back; this holds with two destinations in one pool too, whose
+          double push can leave the pool one over capacity exactly as the
+          reference does.
+
+        Pinned to the object loop, timelines included, by the golden
+        snapshots and the equivalence suite in
+        ``tests/timing/test_lowered.py``.
         """
         self._mark_used()
         cfg = self.config
         self.timeline: list[tuple] = []
+        n = lowered.num_instructions
 
         # --- per-configuration shape resolution --------------------------
-        # Functional-unit scoreboards: {cycle: units busy} + unit count, in
-        # the same grouping as self._fu_by_class (int ALU, int mul, memory
-        # ports, media units).
-        fu_states = (
-            ({}, cfg.num_int_alu),
-            ({}, cfg.num_int_mul),
-            ({}, cfg.num_mem_ports),
-            ({}, cfg.num_media_fu),
-        )
-        # Issue queues and rename pools as (min-heap of release times,
-        # capacity) pairs — SlotPool semantics, inlined.  Capacities clamp at
-        # zero exactly like SlotPool (zero = unconstrained).
-        queue_states = (
-            ([], max(0, cfg.int_queue_size)),
-            ([], max(0, cfg.mem_queue_size)),
-            ([], max(0, cfg.media_queue_size)),
-        )
-        rename_caps = {
-            RegFile.INT: cfg.phys_int_regs - cfg.arch_int_regs,
-            RegFile.MEDIA: cfg.phys_media_regs - cfg.arch_media_regs,
-            RegFile.MATRIX: cfg.phys_matrix_regs - cfg.arch_matrix_regs,
-            RegFile.ACC: cfg.phys_acc_regs - cfg.arch_acc_regs,
-            RegFile.VL: VL_RENAME_SLOTS,
-        }
-        rename_heaps = tuple([] for _ in REG_POOL_ORDER)
-        rename_capacities = tuple(max(0, rename_caps[file])
-                                  for file in REG_POOL_ORDER)
-
+        # Functional units in the object loop's grouping (int ALU, int mul,
+        # memory ports, media units); each scoreboard holds the *free*
+        # units per cycle, the issue scoreboard the free issue slots.
+        fu_counts = (cfg.num_int_alu, cfg.num_int_mul, cfg.num_mem_ports,
+                     cfg.num_media_fu)
+        fills = fu_counts + (cfg.issue_width,)
+        boards = [[fill] for fill in fills]
+        # Issue queues: heaps of the latest `capacity` issue times,
+        # prefilled with zeros, which never bind (every candidate is >= 0):
+        # the head is always the bound.  Capacity zero (unconstrained) is
+        # an empty list.
+        queues = ([0] * max(0, cfg.int_queue_size),
+                  [0] * max(0, cfg.mem_queue_size),
+                  [0] * max(0, cfg.media_queue_size))
         media_acc = OpClass.MEDIA_ACC
         resolved = []
+        max_window = 1
+        min_latency = 0
         for opclass, vly, non_pipelined in lowered.shapes:
             occupancy = self._occupancy_of(opclass, vly, non_pipelined)
             latency = self._completion_latency(opclass, vly, occupancy)
             if opclass.is_memory:
-                fu_busy, fu_count = fu_states[2]
-                queue_heap, queue_cap = queue_states[1]
+                fu, queue = boards[2], queues[1]
             elif opclass is OpClass.IMUL:
-                fu_busy, fu_count = fu_states[1]
-                queue_heap, queue_cap = queue_states[0]
+                fu, queue = boards[1], queues[0]
             elif opclass.is_media:
-                fu_busy, fu_count = fu_states[3]
-                queue_heap, queue_cap = queue_states[2]
+                fu, queue = boards[3], queues[2]
             else:
-                fu_busy, fu_count = fu_states[0]
-                queue_heap, queue_cap = queue_states[0]
-            acc_forwarding = opclass is media_acc and vly <= 1
-            resolved.append((occupancy, latency, fu_busy, fu_busy.get,
-                             fu_count, queue_heap, queue_cap, acc_forwarding))
+                fu, queue = boards[0], queues[0]
+            # A unit is held for at least one cycle (FunctionalUnitPool
+            # reserves max(1, occupancy)); accumulator forwarding adds the
+            # raw occupancy, None marks shapes without it.
+            window = max(1, occupancy)
+            forward = occupancy if (opclass is media_acc and vly <= 1) \
+                else None
+            resolved.append((window, latency, fu, queue, forward))
+            max_window = max(max_window, window)
+            min_latency = min(min_latency, latency)
+
+        # Scoreboard reach.  Let C be the latest commit.  Every commit is
+        # >= its issue + latency + 1, so every issue time so far is
+        # <= C + slack (slack = max(0, -1 - min_latency)); so are rename
+        # times, which wait at most for an earlier issue or commit.  Ready
+        # times and the ends of all reserved windows are then
+        # <= C + slack + max_window, beyond which both scoreboards are all
+        # free, so the search stops by that cycle and its window ends
+        # before C + reach.  Growing the lists whenever a commit breaks
+        # C + reach <= size keeps every subscript in range.
+        reach = max(0, -1 - min_latency) + 2 * max_window
+        size = n + reach + 64
+        for board in boards:
+            board *= size
+        bw = boards[4]
+
+        # Rename pools: release times in push order and, per pool, the
+        # length at which it is full (read pointer + capacity).  A pool
+        # with no head-room limit is never full.
+        headroom = _rename_headroom(cfg)
+        pool_caps = tuple(headroom[file] if headroom[file] > 0
+                          else _UNBOUNDED for file in REG_POOL_ORDER)
+        pool_limits = list(pool_caps)
+        pools = tuple([] for _ in REG_POOL_ORDER)
+        pool_appends = tuple(pool.append for pool in pools)
 
         # --- hot-loop locals ---------------------------------------------
-        fetch_width = cfg.fetch_width
-        rob_size = cfg.rob_size
-        commit_width = cfg.commit_width
-        bw_width = cfg.issue_width
-        bw_used: Dict[int, int] = {}
-        bw_get = bw_used.get
-        reg_ready = [0] * lowered.num_regs
-        rename_times: list = []
-        commit_times: list = []
+        # Rename/commit histories are padded in front so the fetch, ROB
+        # and commit-width bounds are plain subscripts with no "is there an
+        # i - width yet" branch: rename_times[i] is the rename of
+        # instruction i - fetch_width, commit_times[i + rob_off] the commit
+        # of i - rob_size and commit_times[i + cw_off] that of
+        # i - commit_width (pads never bind).
+        pad = max(cfg.rob_size, cfg.commit_width)
+        rob_off = pad - cfg.rob_size
+        cw_off = pad - cfg.commit_width
+        rename_times = [_NEVER] * cfg.fetch_width
+        commit_times = [_NEVER] * pad
         rename_append = rename_times.append
         commit_append = commit_times.append
+        reg_ready = [0] * lowered.num_regs
         timeline_append = self.timeline.append
-        heappush_ = heappush
-        heappop_ = heappop
+        heapreplace_ = heapreplace
         opcodes = lowered.opcodes
         opcode_ids = lowered.opcode_ids
 
@@ -481,131 +526,115 @@ class OutOfOrderCore:
         stall_queue = stalls["issue_queue"]
         stall_rename = stalls["rename_regs"]
 
-        last_commit = 0
+        prev_rename = 0
+        prev_commit = _NEVER
 
-        for i, (sid, srcs, dsts) in enumerate(
-                zip(lowered.shape_ids, lowered.srcs, lowered.dsts)):
-            (occupancy, latency, fu_busy, fu_get, fu_count,
-             queue_heap, queue_cap, acc_forwarding) = resolved[sid]
+        for i, sid, srcs, dsts in zip(range(n), lowered.shape_ids,
+                                      lowered.srcs, lowered.dsts):
+            window, latency, fu, queue, forward = resolved[sid]
 
             # ---- rename ------------------------------------------------
-            candidate = rename_times[-1] if rename_times else 0
-            if i >= fetch_width:
-                bw_bound = rename_times[i - fetch_width] + 1
-                if bw_bound > candidate:
-                    stall_fetch_bw += bw_bound - candidate
-                    candidate = bw_bound
-            if i >= rob_size:
-                rob_bound = commit_times[i - rob_size]
-                if rob_bound > candidate:
-                    stall_rob += rob_bound - candidate
-                    candidate = rob_bound
-
-            if queue_cap:
-                while queue_heap and queue_heap[0] <= candidate:
-                    heappop_(queue_heap)
-                if len(queue_heap) >= queue_cap:
-                    # The release loop drained everything <= candidate, so
-                    # the evicted earliest leaver is strictly later.
-                    earliest = heappop_(queue_heap)
-                    stall_queue += earliest - candidate
-                    candidate = earliest
-
+            candidate = prev_rename
+            bound = rename_times[i] + 1
+            if bound > candidate:
+                stall_fetch_bw += bound - candidate
+                candidate = bound
+            bound = commit_times[i + rob_off]
+            if bound > candidate:
+                stall_rob += bound - candidate
+                candidate = bound
+            if queue:
+                bound = queue[0]
+                if bound > candidate:
+                    stall_queue += bound - candidate
+                    candidate = bound
             for _reg, pool_i, _is_acc in dsts:
-                cap = rename_capacities[pool_i]
-                if cap == 0:
-                    continue
-                heap = rename_heaps[pool_i]
-                while heap and heap[0] <= candidate:
-                    heappop_(heap)
-                if len(heap) >= cap:
-                    earliest = heappop_(heap)
-                    stall_rename += earliest - candidate
-                    candidate = earliest
-
-            rename_time = candidate
-            rename_append(rename_time)
+                released = pools[pool_i]
+                if len(released) >= pool_limits[pool_i]:
+                    # Possibly full: skip releases at or before the
+                    # candidate (only while the pool stays full — the rest
+                    # can wait, candidates never decrease), then take the
+                    # earliest later release if it still is.
+                    cap = pool_caps[pool_i]
+                    head = pool_limits[pool_i] - cap
+                    last = len(released) - cap
+                    while head <= last and released[head] <= candidate:
+                        head += 1
+                    if head <= last:
+                        bound = released[head]
+                        head += 1
+                        stall_rename += bound - candidate
+                        candidate = bound
+                    pool_limits[pool_i] = head + cap
+            prev_rename = candidate
+            rename_append(candidate)
 
             # ---- ready (dataflow) ---------------------------------------
-            ready = rename_time + 1
+            ready = candidate + 1
             for r in srcs:
                 t = reg_ready[r]
                 if t > ready:
                     ready = t
 
             # ---- issue ---------------------------------------------------
-            # A functional unit for the whole occupancy window plus one
-            # issue slot in the start cycle; iterate to a fixed point.
-            start = ready
-            if occupancy == 1:
-                while True:
-                    while fu_get(start, 0) >= fu_count:
-                        start += 1
-                    bw_start = start
-                    while bw_get(bw_start, 0) >= bw_width:
-                        bw_start += 1
-                    if bw_start == start:
-                        issue_time = start
-                        break
-                    start = bw_start
-                fu_busy[issue_time] = fu_get(issue_time, 0) + 1
+            # The earliest cycle with a unit free for the whole window and
+            # a free issue slot in the start cycle.
+            issue = ready
+            if window == 1:
+                while not fu[issue] or not bw[issue]:
+                    issue += 1
+                fu[issue] -= 1
             else:
                 while True:
-                    fu_start = start
-                    while True:
-                        conflict = -1
-                        for cycle in range(fu_start, fu_start + occupancy):
-                            if fu_get(cycle, 0) >= fu_count:
-                                conflict = cycle
-                                break
-                        if conflict < 0:
-                            break
-                        fu_start = conflict + 1
-                    bw_start = fu_start
-                    while bw_get(bw_start, 0) >= bw_width:
-                        bw_start += 1
-                    if bw_start == fu_start:
-                        issue_time = fu_start
+                    if not bw[issue]:
+                        issue += 1
+                        continue
+                    free = fu[issue:issue + window]
+                    if min(free):
                         break
-                    start = bw_start
-                for cycle in range(issue_time, issue_time + occupancy):
-                    fu_busy[cycle] = fu_get(cycle, 0) + 1
-            bw_used[issue_time] = bw_get(issue_time, 0) + 1
-            if queue_cap:
-                heappush_(queue_heap, issue_time)
+                    # Every start up to the window's last busy cycle
+                    # overlaps it.
+                    issue += window - free[::-1].index(0)
+                fu[issue:issue + window] = [f - 1 for f in free]
+            bw[issue] -= 1
+            if queue:
+                # The rename above waited for the head, so the new issue
+                # time is later: it always displaces the head.
+                heapreplace_(queue, issue)
 
             # ---- complete ------------------------------------------------
-            complete = issue_time + latency
-            if acc_forwarding:
-                # MDMX-style accumulate: the accumulator feedback path lives
-                # in the final adder stage (see run() for the full story).
-                acc_forward = issue_time + occupancy
-                for reg, _pool_i, is_acc in dsts:
-                    reg_ready[reg] = acc_forward if is_acc else complete
-            else:
-                for reg, _pool_i, _is_acc in dsts:
-                    reg_ready[reg] = complete
+            complete = issue + latency
 
             # ---- commit --------------------------------------------------
             commit = complete + 1
-            if commit_times:
-                prev_commit = commit_times[-1]
-                if prev_commit > commit:
-                    commit = prev_commit
-            if i >= commit_width:
-                cw_bound = commit_times[i - commit_width] + 1
-                if cw_bound > commit:
-                    commit = cw_bound
+            if prev_commit > commit:
+                commit = prev_commit
+            bound = commit_times[i + cw_off] + 1
+            if bound > commit:
+                commit = bound
             commit_append(commit)
-            last_commit = commit
+            prev_commit = commit
+            if commit + reach > size:
+                grow = max(size, commit + reach - size)
+                for board, fill in zip(boards, fills):
+                    board.extend([fill] * grow)
+                size += grow
 
-            for _reg, pool_i, _is_acc in dsts:
-                if rename_capacities[pool_i]:
-                    heappush_(rename_heaps[pool_i], commit)
+            if forward is None:
+                for reg, pool_i, _is_acc in dsts:
+                    reg_ready[reg] = complete
+                    pool_appends[pool_i](commit)
+            else:
+                # MDMX-style accumulate: the accumulator feedback path lives
+                # in the final adder stage (see run() for the full story).
+                acc_ready = issue + forward
+                for reg, pool_i, is_acc in dsts:
+                    reg_ready[reg] = acc_ready if is_acc else complete
+                    pool_appends[pool_i](commit)
 
             if record_timeline:
-                timeline_append((opcodes[opcode_ids[i]], rename_time, ready,
-                                 issue_time, complete, commit))
+                timeline_append((opcodes[opcode_ids[i]], candidate, ready,
+                                 issue, complete, commit))
 
         stalls["fetch_bw"] = stall_fetch_bw
         stalls["rob"] = stall_rob
@@ -613,7 +642,7 @@ class OutOfOrderCore:
         stalls["rename_regs"] = stall_rename
 
         return SimResult(
-            cycles=last_commit,
+            cycles=prev_commit if n else 0,
             instructions=lowered.num_instructions,
             operations=lowered.total_ops,
             kernel=lowered.name,

@@ -31,16 +31,22 @@ from repro.timing.config import MachineConfig
 from repro.timing.core import OutOfOrderCore
 from repro.timing.lowered import LoweredTrace
 from repro.timing.results import SimResult
-from repro.timing.vector import _auto_uses_vector, run_lowered_batch
+from repro.timing.vector import (_auto_uses_vector, batch_execution,
+                                 run_lowered_batch)
 
 __all__ = ["BACKENDS", "resolve_execution", "simulate_batch"]
 
 #: Selectable timing backends (``auto`` resolves per call).
 BACKENDS = ("auto", "object", "lowered", "vector")
 
+# run_lowered_batch's force_vector per non-object backend.
+_FORCE_VECTOR = {"auto": None, "lowered": False, "vector": True}
+
 
 def resolve_execution(backend: str, num_configs: int,
-                      num_instructions: int = 0) -> str:
+                      num_instructions: int = 0,
+                      trace: Union["Trace", LoweredTrace, None] = None
+                      ) -> str:
     """The concrete backend a ``simulate_batch`` call will execute.
 
     ``auto`` resolves to ``"vector"`` when the batch reaches the live
@@ -51,11 +57,24 @@ def resolve_execution(backend: str, num_configs: int,
     ``instructions x configs`` working set fits the vector backend's
     :data:`~repro.timing.vector.VECTOR_AUTO_CELL_BUDGET` memory budget;
     ``"lowered"`` otherwise.  Explicit names resolve to themselves.
+
+    Given the ``trace`` itself (its length then replaces
+    ``num_instructions``), the answer is what actually runs: the vector
+    backend declines some traces (see
+    :func:`~repro.timing.vector.batch_execution`), and a ``"vector"``
+    resolution of one of them becomes ``"lowered"``.  ``simulate_batch``
+    and the sweep engine's record both ask this way.
     Raises ``ValueError`` for an unknown backend name.
     """
     if backend not in BACKENDS:
         raise ValueError(
             f"unknown timing backend {backend!r}; choose from {BACKENDS}")
+    if backend == "object":
+        return backend
+    if trace is not None:
+        lowered = trace if isinstance(trace, LoweredTrace) else trace.lower()
+        return batch_execution(lowered, num_configs,
+                               force_vector=_FORCE_VECTOR[backend])
     if backend == "auto":
         return ("vector"
                 if _auto_uses_vector(num_configs, num_instructions)
@@ -87,7 +106,7 @@ def simulate_batch(trace: Union["Trace", LoweredTrace],
         Attach each result's per-instruction pipeline timeline as a
         ``timeline`` attribute (as the scalar cores expose on themselves).
     """
-    execution = resolve_execution(backend, len(configs), len(trace))
+    execution = resolve_execution(backend, len(configs), trace=trace)
     if execution == "object":
         if isinstance(trace, LoweredTrace):
             raise TypeError(

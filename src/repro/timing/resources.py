@@ -14,9 +14,16 @@ Three small trackers capture every structural constraint the model applies:
 These classes are the *reference* implementations, used by the object-level
 ``OutOfOrderCore.run()`` loop.  The lowered backend
 (:meth:`~repro.timing.core.OutOfOrderCore.run_lowered`) inlines the same
-semantics as raw dicts/heaps local to its hot loop — any behavioural change
-here must be mirrored there, and is pinned by the golden snapshots plus the
-equivalence suite in ``tests/timing/test_lowered.py``.
+semantics in state its monotone times make exact and cheaper: per-cycle
+free-count lists searched once for the earliest cycle both a unit window
+and an issue slot allow (the fixed point of ``find_start``/``probe``); per
+issue queue a heap of the ``capacity`` latest issue times, because rename
+times never decrease, so a drained :class:`SlotPool` is full exactly when
+it is that set; per rename pool an append-only list of release times with a
+read pointer, because commit times never decrease, so the heap pops them in
+push order.  Any behavioural change here must be mirrored there, and is
+pinned by the golden snapshots plus the equivalence suite in
+``tests/timing/test_lowered.py``.
 """
 
 from __future__ import annotations

@@ -40,7 +40,7 @@ Cost model and the adaptive cut-over
 A NumPy operation on small arrays costs a roughly constant ~0.3-1 µs of
 dispatch overhead regardless of the batch width, and the array program
 spends ~30-40 operations per instruction row *for the whole batch*, while
-the per-config interpreter spends ~1.3 µs per row *per config*.  The array
+the per-config interpreter spends ~1 µs per row *per config*.  The array
 program therefore loses below :data:`VECTOR_MIN_BATCH` configurations
 (measured cut-over ~45-60 on the reference trace) and wins beyond it —
 ~3.5x per config at 256 configurations and ~4.5x at 384 on the reference
@@ -66,8 +66,8 @@ from repro.timing.lowered import REG_POOL_ORDER, LoweredTrace
 from repro.timing.results import SimResult
 
 __all__ = ["VECTOR_AUTO_CELL_BUDGET", "VECTOR_MIN_BATCH", "add_batch_hook",
-           "effective_min_batch", "remove_batch_hook", "run_lowered_batch",
-           "set_min_batch_override"]
+           "batch_execution", "effective_min_batch", "remove_batch_hook",
+           "run_lowered_batch", "set_min_batch_override"]
 
 #: Smallest batch for which the array program is worth its per-row NumPy
 #: dispatch overhead; below it :func:`run_lowered_batch` loops the
@@ -132,6 +132,28 @@ def _auto_uses_vector(num_configs: int, num_instructions: int) -> bool:
     return (num_configs >= effective_min_batch()
             and num_configs * num_instructions <= VECTOR_AUTO_CELL_BUDGET)
 
+
+def batch_execution(lowered: LoweredTrace, num_configs: int,
+                    force_vector: Optional[bool] = None) -> str:
+    """The strategy :func:`run_lowered_batch` executes: ``"vector"`` (the
+    array program) or ``"lowered"`` (the per-config interpreter loop).
+
+    ``force_vector`` pins the choice (``None`` applies the ``auto`` rule),
+    but the array program declines every trace with two destinations in
+    one rename pool (:attr:`LoweredTrace.has_same_pool_multi_dst`): its
+    sliding-window pools assume a full pool pops exactly once per push.
+    This is the one place that decides, so the dispatch layer's record of
+    the executed backend can never disagree with what ran.
+    """
+    if force_vector is None:
+        use_vector = _auto_uses_vector(num_configs,
+                                       lowered.num_instructions)
+    else:
+        use_vector = bool(force_vector)
+    if use_vector and not lowered.has_same_pool_multi_dst:
+        return "vector"
+    return "lowered"
+
 #: Observers called as ``hook(trace_name, isa, num_configs, mode)`` after
 #: every :func:`run_lowered_batch` call, with ``mode`` one of ``"vector"``
 #: (array program) or ``"lowered"`` (per-config interpreter loop).  The
@@ -179,22 +201,16 @@ def run_lowered_batch(lowered: LoweredTrace,
 
     One class of trace is declined by the array program regardless of
     ``force_vector``: instructions with two destinations in the *same*
-    rename pool (no kernel builder emits them) break the sliding-window
-    pool premise — a full pool pops exactly once per push — so those
-    traces always run the per-config interpreter, keeping the
-    bit-identity contract unconditional.
+    rename pool (idct/mom's ``mom_transpose_pair`` writes two matrix
+    registers) break the sliding-window pool premise — a full pool pops
+    exactly once per push — so those traces always run the per-config
+    interpreter, keeping the bit-identity contract unconditional (see
+    :func:`batch_execution`).
     """
     configs = list(configs)
-    if force_vector is None:
-        use_vector = _auto_uses_vector(len(configs),
-                                       lowered.num_instructions)
-    else:
-        use_vector = bool(force_vector)
-    if use_vector and lowered.has_same_pool_multi_dst:
-        use_vector = False
-    if use_vector:
+    mode = batch_execution(lowered, len(configs), force_vector)
+    if mode == "vector":
         results = _run_vector(lowered, configs, record_timeline)
-        mode = "vector"
     else:
         results = []
         for config in configs:
@@ -204,7 +220,6 @@ def run_lowered_batch(lowered: LoweredTrace,
             if record_timeline:
                 result.timeline = core.timeline
             results.append(result)
-        mode = "lowered"
     for hook in _BATCH_HOOKS:
         hook(lowered.name, lowered.isa, len(configs), mode)
     return results

@@ -484,6 +484,23 @@ class TestBackendRouting:
         engine.run(sweep)
         assert engine.last_batches == [(VECTOR_MIN_BATCH, "vector")]
 
+    @pytest.mark.parametrize("backend", ["auto", "vector"])
+    def test_declined_vector_group_records_the_interpreter(
+            self, backend, batch_hook):
+        """idct/mom writes two matrix registers in one instruction, which
+        the array program declines: a group big enough for it (or forced
+        onto it) runs the lowered interpreter, and the record says so."""
+        configs = [MachineConfig.for_way(4, mem_latency=lat)
+                   for lat in range(1, 65)]
+        sweep = SweepSpec.make(kernels=["idct"], isas=("mom",),
+                               configs=configs, spec=_SPEC)
+        engine = SweepEngine(backend=backend)
+        results = engine.run(sweep)
+        assert engine.last_batches == [(64, "lowered")]
+        assert [mode for _k, _i, _n, mode in batch_hook] == ["lowered"]
+        baseline = SweepEngine(backend="object").run(sweep)
+        assert [r.sim for r in results] == [r.sim for r in baseline]
+
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError, match="unknown timing backend"):
             SweepEngine(backend="fpga")

@@ -293,3 +293,17 @@ class TestStructuralLimits:
         fast = simulate_trace(trace, MachineConfig.for_way(8))
         assert fast.speedup_over(slow) > 1.0
         assert slow.speedup_over(fast) < 1.0
+
+
+class TestConstruction:
+    @pytest.mark.parametrize("field", ["num_int_alu", "num_int_mul",
+                                       "num_mem_ports", "num_media_fu",
+                                       "issue_width"])
+    def test_zero_units_or_issue_width_rejected_at_construction(self, field):
+        """With no unit of a kind, or no issue slot, an instruction could
+        never issue and the lowered interpreter's issue search would never
+        end; the core refuses such a configuration up front, before any
+        run."""
+        cfg = MachineConfig.for_way(4).with_updates(**{field: 0})
+        with pytest.raises(ValueError, match=r">= 1"):
+            OutOfOrderCore(cfg)

@@ -28,6 +28,11 @@ from repro.workloads.generators import WorkloadSpec
 #: The configuration grid every equivalence check runs under: issue widths,
 #: memory latencies, and deliberately tight structural resources (small ROB,
 #: single media FU, scarce rename registers) to exercise every stall path.
+#: The later entries target the invariants the lowered interpreter's state
+#: relies on: a ROB smaller than the fetch width, commit and fetch widths
+#: that differ, zero-capacity (unconstrained) queues and rename pools,
+#: one-slot queues and pools, and a 64-cycle memory whose long tails make
+#: the per-cycle scoreboards grow.
 CONFIG_GRID = (
     MachineConfig.for_way(1),
     MachineConfig.for_way(4),
@@ -35,6 +40,18 @@ CONFIG_GRID = (
     MachineConfig.for_way(8, mem_latency=12),
     MachineConfig.for_way(4).with_updates(
         rob_size=8, num_media_fu=1, phys_media_regs=34, media_lanes=4),
+    MachineConfig.for_way(4, mem_latency=12).with_updates(
+        rob_size=2, commit_width=1),
+    MachineConfig.for_way(2).with_updates(commit_width=8, rob_size=5),
+    MachineConfig.for_way(4).with_updates(
+        int_queue_size=0, mem_queue_size=0, media_queue_size=0,
+        phys_int_regs=32, phys_media_regs=32, phys_matrix_regs=16,
+        phys_acc_regs=4),
+    MachineConfig.for_way(2, mem_latency=12).with_updates(
+        int_queue_size=1, mem_queue_size=1, media_queue_size=1,
+        phys_int_regs=33, phys_media_regs=33, phys_matrix_regs=17,
+        phys_acc_regs=5),
+    MachineConfig.for_way(1, mem_latency=64),
 )
 
 
@@ -129,8 +146,24 @@ def _adversarial_traces():
                                srcs=(med[0],), dsts=(med[1], acc),
                                ops=8, vlx=8, is_vector=True))
 
+    same_pool = Trace("same_pool_pair", "test")
+    for i in range(12):
+        # Two destinations in one rename pool (idct/mom's transpose pair
+        # does this): under a one-slot pool the first frees the only slot,
+        # the second finds the pool non-full, and both push — the
+        # reference pool runs one over capacity, and so must the lowered.
+        same_pool.append(instr("tpair", OpClass.MATRIX_MISC,
+                               srcs=(mat[i % 2],), dsts=(mat[2], mat[3]),
+                               ops=64, vlx=8, vly=8, is_vector=True,
+                               non_pipelined=True))
+        same_pool.append(instr("ldm", OpClass.MEDIA_LOAD, srcs=(ints[0],),
+                               dsts=(mat[i % 2],), ops=64, vlx=8, vly=8,
+                               is_vector=True))
+        same_pool.append(instr("pair", OpClass.IALU, srcs=(ints[i % 4],),
+                               dsts=(ints[(i + 1) % 4], ints[(i + 2) % 4])))
+
     return [mdmx_chain, mom_reduce, transpose, mem_mix, multi_dst,
-            Trace("empty", "test")]
+            same_pool, Trace("empty", "test")]
 
 
 @pytest.mark.parametrize("trace", _adversarial_traces(),
@@ -152,7 +185,8 @@ _OPCLASSES = [OpClass.IALU, OpClass.IMUL, OpClass.LOAD, OpClass.STORE,
 @st.composite
 def random_trace(draw, max_len=50):
     """Random traces covering every opclass, register file and shape the
-    lowering distinguishes (vly, non_pipelined, accumulator destinations)."""
+    lowering distinguishes (vly, non_pipelined, accumulator destinations,
+    a second destination in the same register file)."""
     length = draw(st.integers(min_value=0, max_value=max_len))
     trace = Trace(name="random", isa="test")
     for _ in range(length):
@@ -176,6 +210,8 @@ def random_trace(draw, max_len=50):
         elif opclass is not OpClass.STORE and opclass is not OpClass.BRANCH \
                 and opclass is not OpClass.MEDIA_STORE:
             dsts = (RegRef(file, draw(st.integers(0, 7))),)
+            if draw(st.integers(0, 7)) == 0:
+                dsts += (RegRef(file, draw(st.integers(0, 7))),)
         non_pipelined = opclass is OpClass.MATRIX_MISC
         trace.append(DynInstr(opcode=opclass.value, opclass=opclass,
                               isa="test", srcs=tuple(srcs), dsts=dsts,
@@ -185,11 +221,39 @@ def random_trace(draw, max_len=50):
     return trace
 
 
+@st.composite
+def random_config(draw) -> MachineConfig:
+    """A random machine configuration at the edges of the lowered
+    interpreter's invariants: ROB smaller than the fetch width, commit
+    width unrelated to fetch width, queues and rename pools of zero
+    (unconstrained) or a single slot, and memory latencies up to 64."""
+    small = st.integers(0, 3)
+    config = MachineConfig.for_way(
+        draw(st.sampled_from([1, 2, 4, 8])),
+        mem_latency=draw(st.integers(1, 64)))
+    return config.with_updates(
+        fetch_width=draw(st.integers(1, 8)),
+        commit_width=draw(st.integers(1, 8)),
+        rob_size=draw(st.integers(1, 24)),
+        int_queue_size=draw(small),
+        mem_queue_size=draw(small),
+        media_queue_size=draw(small),
+        num_media_fu=draw(st.integers(1, 3)),
+        num_mem_ports=draw(st.integers(1, 2)),
+        media_lanes=draw(st.sampled_from([1, 2, 4])),
+        mem_port_width=draw(st.sampled_from([1, 2, 4])),
+        phys_int_regs=32 + draw(small),
+        phys_media_regs=32 + draw(small),
+        phys_matrix_regs=16 + draw(small),
+        phys_acc_regs=4 + draw(small),
+    )
+
+
 @settings(max_examples=40, deadline=None)
-@given(trace=random_trace())
-def test_lowered_equals_object_loop_on_random_traces(trace):
-    for config in CONFIG_GRID:
-        _assert_equivalent(trace, config, label="random")
+@given(trace=random_trace(), config=random_config())
+def test_lowered_equals_object_loop_on_random_traces(trace, config):
+    for grid_config in CONFIG_GRID + (config,):
+        _assert_equivalent(trace, grid_config, label="random")
 
 
 # ----------------------------------------------------------------------

@@ -223,6 +223,27 @@ def test_same_pool_multi_dst_traces_decline_the_array_program():
     assert batch[0].timeline == core.timeline
 
 
+def test_idct_mom_is_the_kernel_grid_same_pool_multi_dst_trace():
+    """idct/mom's ``mom_transpose_pair`` writes two matrix registers, so
+    it is the kernel grid's one trace the array program declines; forced
+    onto it anyway, it still equals the object loop, timelines included."""
+    flagged = {(kernel, isa) for kernel in kernel_names()
+               for isa in ISA_VARIANTS
+               if lower_trace(_kernel_trace(kernel, isa)
+                              ).has_same_pool_multi_dst}
+    assert flagged == {("idct", "mom")}
+
+    trace = _kernel_trace("idct", "mom")
+    batch = run_lowered_batch(lower_trace(trace), CONFIG_BATCH,
+                              force_vector=True, record_timeline=True)
+    for config, got in zip(CONFIG_BATCH, batch):
+        core = OutOfOrderCore(config)
+        want = core.run(trace, record_timeline=True)
+        assert got == want, config.name
+        assert got.stall_breakdown == want.stall_breakdown, config.name
+        assert got.timeline == core.timeline, config.name
+
+
 # ----------------------------------------------------------------------
 # Hypothesis: random configuration batches (the satellite property test).
 
@@ -320,6 +341,21 @@ class TestDispatch:
         assert resolve_execution("vector", 1) == "vector"
         with pytest.raises(ValueError, match="unknown timing backend"):
             resolve_execution("jit", 4)
+
+    def test_resolve_execution_of_a_trace_names_what_runs(self):
+        """Given the trace, a vector resolution the array program would
+        decline answers the interpreter that actually runs."""
+        declined = _kernel_trace("idct", "mom")
+        accepted = _kernel_trace("comp", "mom")
+        for backend in ("auto", "vector"):
+            assert resolve_execution(backend, VECTOR_MIN_BATCH,
+                                     trace=declined) == "lowered"
+            assert resolve_execution(backend, VECTOR_MIN_BATCH,
+                                     trace=accepted.lower()) == "vector"
+        assert resolve_execution("auto", VECTOR_MIN_BATCH - 1,
+                                 trace=accepted) == "lowered"
+        assert resolve_execution("object", VECTOR_MIN_BATCH,
+                                 trace=declined) == "object"
 
     def test_auto_respects_the_memory_budget(self, monkeypatch):
         from repro.timing.vector import VECTOR_AUTO_CELL_BUDGET
