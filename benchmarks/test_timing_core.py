@@ -12,26 +12,18 @@ measured on the ``motion1/scalar`` trace (~4050 instructions, 4-way config):
 * seed commit (object loop, no fast path):  ~29 ms / trace (~138 k instr/s)
 * PR 1 object-loop fast path:               ~17 ms / trace (~240 k instr/s)
 * lowered backend (PR 3):                    ~5 ms / trace (~800 k instr/s)
-* vector batch backend (PR 4), 384 configs: ~1.2 ms / trace / config
-  (~3.5 M batched instr/s — ~4.5x the lowered loop per config)
 * lowered backend with per-cycle list scoreboards, top-capacity issue
   queues and FIFO rename pools: ~4.2 ms / trace (~950 k instr/s, ~4x the
   object loop in the same process)
-* vector batch backend against that loop, 768-config ablation group:
-  ~1.1 s vs ~5.0 s (~4.5x per config on a 2-vCPU box; the ratio falls as
-  the interpreter gets faster, and the gate stays >= 3x)
 
 The lowering pass (:mod:`repro.timing.lowered`) compiles the trace once into
 flat arrays — int shape ids, dense register ids, pre-resolved rename-pool
 indices — and ``run_lowered()`` executes the interval model over them with
 per-cycle list scoreboards, issue queues held as heaps of their latest
-issue times and rename pools as append-only release lists.  The vector backend
-(:mod:`repro.timing.vector`) goes one step further for sweep groups: one
-NumPy pass over the rows advances every configuration of a batch at once.
-The golden regression tests (tests/test_golden_regression.py) and the
-equivalence suites (tests/timing/test_lowered.py, tests/timing/
-test_vector.py) pin all backends' cycle counts to the object loop's
-exactly.
+issue times and rename pools as append-only release lists.  The golden
+regression tests (tests/test_golden_regression.py) and the equivalence
+suite (tests/timing/test_lowered.py) pin the lowered backend's cycle
+counts to the object loop's exactly.
 """
 
 from __future__ import annotations
@@ -115,72 +107,3 @@ def test_simulate_trace_throughput_floor(benchmark):
     benchmark.extra_info["instr_per_sec"] = round(rate)
     assert rate > 200_000, f"timing core regressed to {rate:.0f} instr/s"
 
-
-def _vector_benchmark_grid(count):
-    """A figure-4-style structural ablation grid: issue widths x short
-    memory latencies x per-resource variants, ``count`` configs total."""
-    variants = [{}, {"rob_size": 32}, {"rob_size": 128},
-                {"phys_int_regs": 48}, {"num_int_alu": 2},
-                {"phys_media_regs": 40}, {"num_int_mul": 2},
-                {"mem_port_width": 1}]
-    grid = []
-    while len(grid) < count:
-        for updates in variants:
-            for way in (2, 4, 8):
-                for latency in (1, 2, 4):
-                    grid.append(MachineConfig.for_way(
-                        way, mem_latency=latency, **updates))
-                    if len(grid) == count:
-                        return grid
-    return grid
-
-
-def test_vector_batch_speedup_vs_looped_lowered(benchmark):
-    """The PR 4 acceptance benchmark: the vector batch backend over a
-    large config group must be >= 3x faster *per configuration* than
-    looping ``run_lowered()``, with bit-identical results.
-
-    Both paths run interleaved in the same process on the same lowered
-    trace (min of two rounds each), so the ratio is robust to absolute
-    machine speed and to load drift during the test.  The group is a
-    768-config structural ablation — the sweep shape the batch backend
-    exists for; locally the ratio is ~4-4.5x, and it *shrinks* with the
-    group (the vector path loses outright below ``VECTOR_MIN_BATCH``
-    configs, which is why ``auto`` keeps small groups on the lowered
-    interpreter).
-    """
-    from repro.timing.vector import run_lowered_batch
-
-    trace = run_kernel("motion1", "scalar").build.trace
-    lowered = trace.lower()
-    configs = _vector_benchmark_grid(768)
-
-    loop_best = vector_best = float("inf")
-    expected = results = None
-    for _ in range(2):
-        start = time.perf_counter()
-        expected = [OutOfOrderCore(c).run_lowered(lowered) for c in configs]
-        loop_best = min(loop_best, time.perf_counter() - start)
-        start = time.perf_counter()
-        results = run_lowered_batch(lowered, configs, force_vector=True)
-        vector_best = min(vector_best, time.perf_counter() - start)
-
-    assert results == expected, "vector backend drifted from run_lowered"
-    stats = benchmark.pedantic(
-        lambda: run_lowered_batch(lowered, configs, force_vector=True),
-        rounds=1)
-    del stats
-    vector_best = min(vector_best, benchmark.stats.stats.min)
-    speedup = loop_best / vector_best
-    batched_instr = len(trace) * len(configs)
-    benchmark.extra_info["batch_configs"] = len(configs)
-    benchmark.extra_info["instructions"] = len(trace)
-    benchmark.extra_info["looped_lowered_ms"] = round(loop_best * 1e3, 1)
-    benchmark.extra_info["vector_ms"] = round(vector_best * 1e3, 1)
-    benchmark.extra_info["batch_speedup_per_config"] = round(speedup, 2)
-    benchmark.extra_info["batched_instr_per_sec"] = round(
-        batched_instr / vector_best)
-    assert speedup >= 3.0, (
-        f"vector batch backend is only {speedup:.2f}x the per-config "
-        f"lowered loop over {len(configs)} configs "
-        f"({loop_best * 1e3:.0f} ms vs {vector_best * 1e3:.0f} ms)")

@@ -18,9 +18,6 @@ The CLI exposes the experiment drivers without writing any Python:
 * ``client``   — talk to a running service: ``submit`` a sweep, ``watch``
   its live progress, ``fetch`` its results, ``list`` its jobs.  Retries
   with deterministic backoff and honours 429 ``Retry-After``.
-* ``calibrate`` — measure the vector backend's loop-vs-vector cut-over on
-  this machine and persist it for the ``auto`` backend rule
-  (``~/.cache/repro/calibration.json`` or ``$REPRO_CALIBRATION``).
 
 Every sweep-backed command accepts ``--jobs N`` (process-parallel
 execution), ``--cache-dir DIR`` (on-disk result cache; warm re-runs do
@@ -37,8 +34,9 @@ replays the journal instead of re-simulating — crash-safe sweeps),
 *failure* records), ``--task-timeout SECONDS`` / ``--max-pool-restarts N``
 (supervised pool execution: hung-worker deadlines, bounded pool respawns
 with backoff, poison-point quarantine — see ``docs/sweep-engine.md``) and
-``--backend {auto,object,lowered,vector}`` (timing backend for the group
-simulations; identical numbers, different wall time).  A live
+``--backend {lowered,object}`` (timing backend for the group simulations:
+the flat-array interpreter by default, or the object reference loop;
+identical numbers, different wall time).  A live
 ``done/total`` progress line with the simulated instr/s rate is written
 to stderr when it is a TTY, and ``repro cache stats --json`` emits the
 cache statistics as one JSON object for scripting.
@@ -57,7 +55,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
-import os
 import signal
 import sys
 import time
@@ -135,12 +132,12 @@ def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
                         help="worker-pool respawns (after crashes, hangs or "
                              "submit failures) before the run degrades to "
                              "serial execution (default 6)")
-    parser.add_argument("--backend", default="auto", choices=list(BACKENDS),
+    parser.add_argument("--backend", default="lowered",
+                        choices=list(BACKENDS),
                         help="timing backend for group simulations "
-                             "(default auto: the NumPy vector batch "
-                             "backend for large config groups, the "
-                             "lowered interpreter otherwise; results are "
-                             "identical across backends)")
+                             "(default lowered: the flat-array "
+                             "interpreter; object is the reference loop; "
+                             "results are identical across backends)")
 
 
 def add_sweep_arguments(parser: argparse.ArgumentParser,
@@ -159,7 +156,7 @@ def engine_from_args(args: argparse.Namespace) -> SweepEngine:
     (plus ``--backend``/``--result-store``/``--resume`` where the command
     defines them)."""
     return SweepEngine(jobs=args.jobs, cache_dir=args.cache_dir,
-                       backend=getattr(args, "backend", "auto"),
+                       backend=getattr(args, "backend", "lowered"),
                        result_store=getattr(args, "result_store", "json"),
                        journal=getattr(args, "resume", None),
                        task_timeout=getattr(args, "task_timeout", None),
@@ -417,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve_p.add_argument("--result-store", default="json",
                          choices=list(RESULT_STORES),
                          help="result-cache layout under --cache-dir")
-    serve_p.add_argument("--backend", default="auto",
+    serve_p.add_argument("--backend", default="lowered",
                          choices=list(BACKENDS),
                          help="timing backend for group simulations")
     serve_p.add_argument("--task-timeout", type=float, default=None,
@@ -471,26 +468,6 @@ def build_parser() -> argparse.ArgumentParser:
         "fetch", help="print a finished job's full results as JSON")
     fetch_p.add_argument("job_id")
     client_sub.add_parser("list", help="list the server's jobs")
-
-    cal_p = sub.add_parser(
-        "calibrate",
-        help="measure the vector backend's batch cut-over on this machine "
-             "and persist it for the auto backend rule")
-    cal_p.add_argument("--path", default=None,
-                       help="calibration file to write (default: "
-                            "$REPRO_CALIBRATION or "
-                            "~/.cache/repro/calibration.json)")
-    cal_p.add_argument("--instructions", type=int, default=1536,
-                       help="synthetic trace length for the measurement "
-                            "(default 1536)")
-    cal_p.add_argument("--repeats", type=int, default=3,
-                       help="timing repetitions per batch size; the best "
-                            "of each is kept (default 3)")
-    cal_p.add_argument("--dry-run", action="store_true",
-                       help="measure and report without persisting")
-    cal_p.add_argument("--json", action="store_true",
-                       help="emit the full measurement report as JSON on "
-                            "stdout")
 
     cache_p = sub.add_parser(
         "cache", help="inspect or prune the on-disk result cache")
@@ -755,55 +732,6 @@ def _format_bytes(n: int) -> str:
     return f"{n:.1f} GiB"  # pragma: no cover - unreachable
 
 
-def _cmd_calibrate(args: argparse.Namespace) -> int:
-    from repro.timing.calibrate import (CALIBRATION_ENV, calibration_path,
-                                        measure_vector_cutover,
-                                        save_calibration, synthetic_trace)
-    from repro.timing.vector import VECTOR_MIN_BATCH, set_min_batch_override
-
-    # Under --json only the report goes to stdout; status lines move to
-    # stderr so the output stays machine-readable.
-    status = sys.stderr if args.json else sys.stdout
-
-    lowered = synthetic_trace(num_instructions=args.instructions).lower()
-    report = measure_vector_cutover(lowered, repeats=args.repeats)
-    if args.json:
-        print(json.dumps(report, indent=2, sort_keys=True))
-    else:
-        print(f"{'batch':>6s} {'loop ms':>9s} {'vector ms':>10s}  winner")
-        for row in report["measurements"]:
-            winner = "vector" if row["vector_wins"] else "loop"
-            print(f"{row['batch']:6d} {row['loop_s'] * 1e3:9.2f} "
-                  f"{row['vector_s'] * 1e3:10.2f}  {winner}")
-        print(f"\nmeasured cut-over: {report['vector_min_batch']} "
-              f"configuration(s) (constant fallback: {VECTOR_MIN_BATCH})")
-    if args.dry_run:
-        print("dry run: nothing persisted", file=status)
-        return 0
-    if calibration_path(args.path) is None:
-        print(f"error: calibration persistence is disabled "
-              f"({CALIBRATION_ENV} is off); pass --path or --dry-run",
-              file=sys.stderr)
-        return 2
-    path = save_calibration(report, path=args.path)
-    # Forget any lazily-cached value so this very process routes on the
-    # fresh measurement too.
-    set_min_batch_override(None)
-    print(f"persisted to {path}", file=status)
-    read_path = calibration_path(None)
-    if args.path is not None and (
-            read_path is None
-            or os.path.abspath(read_path) != os.path.abspath(path)):
-        # The auto rule only reads $REPRO_CALIBRATION / the default path;
-        # an explicit --path elsewhere is inert until pointed at.
-        where = (read_path if read_path is not None
-                 else f"nothing ({CALIBRATION_ENV} is off)")
-        print(f"note: the auto backend rule reads {where}; export "
-              f"{CALIBRATION_ENV}={path} to activate this file",
-              file=status)
-    return 0
-
-
 def _cmd_cache(args: argparse.Namespace) -> int:
     if args.cache_command == "stats":
         stats = cache_stats(args.cache_dir)
@@ -881,8 +809,6 @@ def _dispatch(args: argparse.Namespace) -> int:
         return _cmd_serve(args)
     if args.command == "client":
         return _cmd_client(args)
-    if args.command == "calibrate":
-        return _cmd_calibrate(args)
     if args.command == "cache":
         return _cmd_cache(args)
     raise AssertionError(f"unhandled command {args.command!r}")  # pragma: no cover

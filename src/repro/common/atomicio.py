@@ -1,9 +1,9 @@
 """Atomic JSON file writes and entry integrity, shared by every on-disk store.
 
-The result cache, the service's job records and the calibration file all
-follow the same durability rule: a reader may never observe a half-written
-entry, so every write goes to a same-directory temporary file first and
-lands with one atomic :func:`os.replace`.  This module is the single implementation
+The result cache and the service's job records follow the same
+durability rule: a reader may never observe a half-written entry, so
+every write goes to a same-directory temporary file first and lands with
+one atomic :func:`os.replace`.  This module is the single implementation
 of that rule.
 
 Temporary files carry the ``.tmp`` suffix.  A process killed between

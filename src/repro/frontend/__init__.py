@@ -6,8 +6,8 @@ builder call executes the instruction's semantics immediately against the
 shared :class:`FunctionalMachine` (so kernel outputs can be checked against
 NumPy golden references) *and* records the dynamic instruction for the
 timing model — by default into the zero-object column recorder
-(:mod:`repro.trace.columns`), whose flat arrays the fast timing backends
-adopt directly.  This mirrors the paper's methodology of emulation
+(:mod:`repro.trace.columns`), whose flat arrays the lowered timing backend
+adopts directly.  This mirrors the paper's methodology of emulation
 libraries whose calls are later collapsed into single simulated
 instructions.
 """

@@ -204,21 +204,20 @@ def _group_by_trace(points: Sequence[SweepPoint],
 
 
 def _simulate_group(points: Sequence[SweepPoint], check: bool,
-                    backend: str = "auto",
+                    backend: str = "lowered",
                     ) -> Tuple[List[Tuple[SimResult, TraceStats]],
                                Tuple[int, str]]:
     """Run one trace-sharing group of resolved points in this process.
 
     The trace is built once and lowered once; every configuration in the
     group is simulated off the shared flat arrays through the timing
-    package's batch dispatch (``backend`` selects object/lowered/vector;
-    ``auto`` picks the vector array program for large groups).  Returns
-    the per-point ``(sim, stats)`` rows and the group's ``(size, executed
+    package's batch dispatch (``backend`` selects lowered/object).
+    Returns the per-point ``(sim, stats)`` rows and the group's ``(size,
     backend)``.
     """
     # Local imports: the experiments layer imports the engine.
     from repro.experiments.runner import build_kernel_variant
-    from repro.timing.dispatch import resolve_execution, simulate_batch
+    from repro.timing.dispatch import simulate_batch
     from repro.trace.stats import summarize_trace
 
     # Deterministic fault injection (no-op unless REPRO_FAULT_INJECT is
@@ -231,9 +230,7 @@ def _simulate_group(points: Sequence[SweepPoint], check: bool,
                                  check=check).trace
     stats = summarize_trace(trace)
     sims = simulate_batch(trace, [p.config for p in points], backend=backend)
-    execution = (len(points),
-                 resolve_execution(backend, len(points), trace=trace))
-    return [(sim, stats) for sim in sims], execution
+    return [(sim, stats) for sim in sims], (len(points), backend)
 
 
 def _simulate_point_with_build(point: SweepPoint, check: bool,
@@ -284,11 +281,10 @@ class SweepEngine:
         exercise invalidation); defaults to the live model version.
     backend:
         Timing backend for the group simulations, one of
-        :data:`~repro.timing.dispatch.BACKENDS` (default ``"auto"``:
-        the vector array program for groups of at least
-        :data:`~repro.timing.vector.VECTOR_MIN_BATCH` configurations,
-        the per-config lowered interpreter otherwise).  Results are
-        bit-identical across backends, so cache keys ignore it.
+        :data:`~repro.timing.dispatch.BACKENDS` (default ``"lowered"``:
+        the flat-array interpreter; ``"object"`` is the reference loop).
+        Results are bit-identical across backends, so cache keys ignore
+        it.
     result_store:
         On-disk layout of the result cache, one of
         :data:`~repro.sweep.cache.RESULT_STORES`: ``"json"`` (one file per
@@ -324,7 +320,7 @@ class SweepEngine:
 
     def __init__(self, jobs: int = 1, cache_dir: Optional[str] = None,
                  check: bool = True, version: Optional[str] = None,
-                 backend: str = "auto", result_store: str = "json",
+                 backend: str = "lowered", result_store: str = "json",
                  journal: Union[None, str, SweepJournal] = None,
                  task_timeout: Optional[float] = None,
                  max_pool_restarts: Optional[int] = None,
@@ -391,9 +387,8 @@ class SweepEngine:
         #: hanging their worker.
         self.last_quarantined = 0
         #: Per simulated trace group of the most recent run: ``(number of
-        #: configurations, executed timing backend)`` — the observable
-        #: record that groups were routed through the batch dispatch, and
-        #: which execution each one resolved to.
+        #: configurations, timing backend)`` — the observable record that
+        #: groups were routed through the batch dispatch.
         self.last_batches: List[Tuple[int, str]] = []
 
     # ------------------------------------------------------------------
@@ -574,9 +569,8 @@ class SweepEngine:
 
         Points are batched by trace identity — one trace build and one
         lowering per group, then one batch simulation through the
-        timing dispatch (all of a group's configurations at once, so the
-        vector backend can amortise the instruction walk), yielded one
-        point at a time.  The generator stays lazy at group granularity:
+        timing dispatch (all of a group's configurations at once), yielded
+        one point at a time.  The generator stays lazy at group granularity:
         no group beyond the one being consumed is simulated ahead of the
         consumer.  ``keep_builds`` disables batching: every point runs its
         own front-end build so each result can retain one.
@@ -731,7 +725,7 @@ class SweepEngine:
 
 def ensure_engine(engine: Optional[SweepEngine], jobs: int = 1,
                   cache_dir: Optional[str] = None,
-                  backend: str = "auto") -> SweepEngine:
+                  backend: str = "lowered") -> SweepEngine:
     """Return ``engine`` if given, else a fresh one from the plain options.
 
     Shared by every experiment driver that accepts either a pre-configured

@@ -238,7 +238,7 @@ class SweepService:
                  jobs: int = 1,
                  max_queue: int = 16,
                  result_store: str = "json",
-                 backend: str = "auto",
+                 backend: str = "lowered",
                  task_timeout: Optional[float] = None,
                  max_pool_restarts: Optional[int] = None) -> None:
         self.state_dir = os.fspath(state_dir)

@@ -17,21 +17,17 @@ completes.
 
 from repro.timing.config import MachineConfig, WAY_CONFIGS
 from repro.timing.core import OutOfOrderCore, simulate_trace
-from repro.timing.dispatch import BACKENDS, resolve_execution, simulate_batch
+from repro.timing.dispatch import BACKENDS, simulate_batch
 from repro.timing.lowered import LoweredTrace, lower_trace
 from repro.timing.results import SimResult
-from repro.timing.vector import VECTOR_MIN_BATCH, run_lowered_batch
 
 __all__ = [
     "BACKENDS",
     "LoweredTrace",
     "MachineConfig",
-    "VECTOR_MIN_BATCH",
     "WAY_CONFIGS",
     "OutOfOrderCore",
     "lower_trace",
-    "resolve_execution",
-    "run_lowered_batch",
     "simulate_batch",
     "simulate_trace",
     "SimResult",

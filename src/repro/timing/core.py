@@ -45,8 +45,7 @@ MODEL_VERSION = "1"
 
 #: Rename slots of the vector-length register's tiny pool (it is never a
 #: bottleneck, but the dependence handling stays uniform).  Shared by the
-#: object loop, the lowered interpreter and the vector batch backend so
-#: the three can never drift.
+#: object loop and the lowered interpreter so the two can never drift.
 VL_RENAME_SLOTS = 8
 
 # Sentinels of the lowered interpreter: a rename pool with no head-room
@@ -85,9 +84,9 @@ def occupancy_of(config: MachineConfig, opclass: OpClass, vly: int,
                  non_pipelined: bool) -> int:
     """Cycles an instruction shape occupies its functional unit or port.
 
-    Pure function of ``(config, shape)``; shared by the object loop, the
-    lowered backend's per-shape resolution and the vector batch backend's
-    per-(shape, config) tables, so the three can never drift apart.
+    Pure function of ``(config, shape)``; shared by the object loop and the
+    lowered backend's per-shape resolution, so the two can never drift
+    apart.
     """
     if non_pipelined:
         # Non-pipelined matrix ops (transpose) hold the unit for their
@@ -129,7 +128,9 @@ class OutOfOrderCore:
     def __init__(self, config: MachineConfig) -> None:
         # Fail at construction, not mid-run: with no unit (or no issue
         # slot) an instruction can never issue, and the issue searches of
-        # both loops would scan forever.
+        # both loops would scan forever; with no fetch, commit or ROB slot
+        # both loops index an empty history; a negative memory latency
+        # would complete loads before they issue.
         for name, count in (("ialu", config.num_int_alu),
                             ("imul", config.num_int_mul),
                             ("mem", config.num_mem_ports),
@@ -137,8 +138,12 @@ class OutOfOrderCore:
             if count < 1:
                 raise ValueError(
                     f"functional unit pool {name!r} needs >= 1 unit")
-        if config.issue_width < 1:
-            raise ValueError("bandwidth must be >= 1")
+        for name in ("issue_width", "fetch_width", "commit_width",
+                     "rob_size"):
+            if getattr(config, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+        if config.mem_latency < 0:
+            raise ValueError("mem_latency must be >= 0")
         self.config = config
         self._used = False
         self._stalls: Dict[str, int] = {

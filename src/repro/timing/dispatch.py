@@ -1,26 +1,19 @@
-"""Backend selection for batch simulation: object / lowered / vector.
+"""Backend selection for batch simulation: lowered / object.
 
-The timing package has three executions of the same interval model:
+The timing package has two executions of the same interval model:
 
+``lowered``
+    :meth:`~repro.timing.core.OutOfOrderCore.run_lowered` — the flat-array
+    interpreter, the fast path and the default.
 ``object``
     :meth:`~repro.timing.core.OutOfOrderCore.run` — the readable reference
     loop over :class:`~repro.trace.instruction.DynInstr` objects.
-``lowered``
-    :meth:`~repro.timing.core.OutOfOrderCore.run_lowered` — the flat-array
-    interpreter, ~3x the object loop per configuration.
-``vector``
-    :func:`~repro.timing.vector.run_lowered_batch`'s array program — one
-    NumPy pass over the instruction rows advancing every configuration in
-    the batch at once; wins beyond
-    :data:`~repro.timing.vector.VECTOR_MIN_BATCH` configurations.
 
-All three are bit-identical (pinned by the golden snapshots and the
-equivalence suites), so picking one is purely a performance decision.
+Both are bit-identical (pinned by the golden snapshots and the equivalence
+suites), so picking one is purely a performance decision.
 :func:`simulate_batch` is that decision point: the sweep engine routes
 every trace-sharing group of configurations through it, and the CLI's
-``--backend`` flag plumbs down to the ``backend`` argument.  The default
-``auto`` resolves to ``vector`` for large batches and ``lowered``
-otherwise (:func:`resolve_execution`).
+``--backend`` flag plumbs down to the ``backend`` argument.
 """
 
 from __future__ import annotations
@@ -31,60 +24,16 @@ from repro.timing.config import MachineConfig
 from repro.timing.core import OutOfOrderCore
 from repro.timing.lowered import LoweredTrace
 from repro.timing.results import SimResult
-from repro.timing.vector import (_auto_uses_vector, batch_execution,
-                                 run_lowered_batch)
 
-__all__ = ["BACKENDS", "resolve_execution", "simulate_batch"]
+__all__ = ["BACKENDS", "simulate_batch"]
 
-#: Selectable timing backends (``auto`` resolves per call).
-BACKENDS = ("auto", "object", "lowered", "vector")
-
-# run_lowered_batch's force_vector per non-object backend.
-_FORCE_VECTOR = {"auto": None, "lowered": False, "vector": True}
-
-
-def resolve_execution(backend: str, num_configs: int,
-                      num_instructions: int = 0,
-                      trace: Union["Trace", LoweredTrace, None] = None
-                      ) -> str:
-    """The concrete backend a ``simulate_batch`` call will execute.
-
-    ``auto`` resolves to ``"vector"`` when the batch reaches the live
-    loop-vs-vector cut-over — the machine's persisted ``repro calibrate``
-    measurement when one exists, the
-    :data:`~repro.timing.vector.VECTOR_MIN_BATCH` constant otherwise (see
-    :func:`~repro.timing.vector.effective_min_batch`) — and the
-    ``instructions x configs`` working set fits the vector backend's
-    :data:`~repro.timing.vector.VECTOR_AUTO_CELL_BUDGET` memory budget;
-    ``"lowered"`` otherwise.  Explicit names resolve to themselves.
-
-    Given the ``trace`` itself (its length then replaces
-    ``num_instructions``), the answer is what actually runs: the vector
-    backend declines some traces (see
-    :func:`~repro.timing.vector.batch_execution`), and a ``"vector"``
-    resolution of one of them becomes ``"lowered"``.  ``simulate_batch``
-    and the sweep engine's record both ask this way.
-    Raises ``ValueError`` for an unknown backend name.
-    """
-    if backend not in BACKENDS:
-        raise ValueError(
-            f"unknown timing backend {backend!r}; choose from {BACKENDS}")
-    if backend == "object":
-        return backend
-    if trace is not None:
-        lowered = trace if isinstance(trace, LoweredTrace) else trace.lower()
-        return batch_execution(lowered, num_configs,
-                               force_vector=_FORCE_VECTOR[backend])
-    if backend == "auto":
-        return ("vector"
-                if _auto_uses_vector(num_configs, num_instructions)
-                else "lowered")
-    return backend
+#: Selectable timing backends; the first is the default.
+BACKENDS = ("lowered", "object")
 
 
 def simulate_batch(trace: Union["Trace", LoweredTrace],
                    configs: Sequence[MachineConfig],
-                   backend: str = "auto",
+                   backend: str = "lowered",
                    record_timeline: bool = False) -> List[SimResult]:
     """Simulate ``trace`` under every configuration with one backend.
 
@@ -100,27 +49,29 @@ def simulate_batch(trace: Union["Trace", LoweredTrace],
         Machine configurations; one :class:`SimResult` per entry is
         returned, in order.  Duplicates are legal.
     backend:
-        One of :data:`BACKENDS`.  Results are identical across backends;
-        only the wall time differs.
+        One of :data:`BACKENDS`; ``ValueError`` otherwise.  Results are
+        identical across backends; only the wall time differs.
     record_timeline:
         Attach each result's per-instruction pipeline timeline as a
         ``timeline`` attribute (as the scalar cores expose on themselves).
     """
-    execution = resolve_execution(backend, len(configs), trace=trace)
-    if execution == "object":
+    if backend not in BACKENDS:
+        raise ValueError(
+            f"unknown timing backend {backend!r}; choose from {BACKENDS}")
+    if backend == "object":
         if isinstance(trace, LoweredTrace):
             raise TypeError(
                 "the object backend replays DynInstr objects and cannot "
                 "run from a LoweredTrace; pass the original Trace")
-        results = []
-        for config in configs:
-            core = OutOfOrderCore(config)
-            result = core.run(trace, record_timeline=record_timeline)
-            if record_timeline:
-                result.timeline = core.timeline
-            results.append(result)
-        return results
-    lowered = trace if isinstance(trace, LoweredTrace) else trace.lower()
-    return run_lowered_batch(lowered, configs,
-                             record_timeline=record_timeline,
-                             force_vector=(execution == "vector"))
+        run, source = OutOfOrderCore.run, trace
+    else:
+        run = OutOfOrderCore.run_lowered
+        source = trace if isinstance(trace, LoweredTrace) else trace.lower()
+    results = []
+    for config in configs:
+        core = OutOfOrderCore(config)
+        result = run(core, source, record_timeline=record_timeline)
+        if record_timeline:
+            result.timeline = core.timeline
+        results.append(result)
+    return results

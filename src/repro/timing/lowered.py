@@ -38,8 +38,6 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, List, Tuple
 
-import numpy as np
-
 from repro.isa.opclasses import OpClass, RegFile
 
 __all__ = ["REG_POOL_ORDER", "LoweredTrace", "add_lowering_hook",
@@ -98,7 +96,7 @@ class LoweredTrace:
 
     __slots__ = ("name", "isa", "num_instructions", "total_ops", "num_regs",
                  "shapes", "shape_ids", "srcs", "dsts", "opcodes",
-                 "opcode_ids", "_columns", "_same_pool_multi_dst")
+                 "opcode_ids")
 
     def __init__(self, name: str, isa: str, num_instructions: int,
                  total_ops: int, num_regs: int,
@@ -125,117 +123,6 @@ class LoweredTrace:
         self.opcodes = opcodes
         #: Per instruction: index into :attr:`opcodes`.
         self.opcode_ids = opcode_ids
-        # Lazily-built ndarray columns / trace classifications (below).
-        self._columns = None
-        self._same_pool_multi_dst = None
-
-    # ------------------------------------------------------------------
-    # ndarray columns
-    # ------------------------------------------------------------------
-    # The same data as flat NumPy columns, with the ragged srcs/dsts rows
-    # in CSR form (``*_flat`` values + an ``indptr`` of row boundaries:
-    # row ``i`` is ``flat[indptr[i]:indptr[i + 1]]``).  The vector batch
-    # backend (repro.timing.vector) consumes these; the list rows remain
-    # the canonical form for the per-config lowered interpreter, so the
-    # columns are built lazily on first use
-    # (and never on the lowered/object-only simulation paths).
-
-    def _build_columns(self) -> dict:
-        cols = self._columns
-        if cols is not None:
-            return cols
-        n = self.num_instructions
-        srcs, dsts = self.srcs, self.dsts
-        src_indptr = np.zeros(n + 1, dtype=np.int32)
-        dst_indptr = np.zeros(n + 1, dtype=np.int32)
-        if n:
-            np.cumsum(np.fromiter((len(row) for row in srcs),
-                                  dtype=np.int32, count=n),
-                      out=src_indptr[1:])
-            np.cumsum(np.fromiter((len(row) for row in dsts),
-                                  dtype=np.int32, count=n),
-                      out=dst_indptr[1:])
-        num_dsts = int(dst_indptr[-1])
-        cols = self._columns = {
-            "shape_id_col": np.asarray(self.shape_ids, dtype=np.int32),
-            "opcode_id_col": np.asarray(self.opcode_ids, dtype=np.int32),
-            "src_indptr": src_indptr,
-            "src_flat": np.fromiter(
-                (r for row in srcs for r in row), dtype=np.int32,
-                count=int(src_indptr[-1])),
-            "dst_indptr": dst_indptr,
-            "dst_reg_flat": np.fromiter(
-                (reg for row in dsts for reg, _pool, _acc in row),
-                dtype=np.int32, count=num_dsts),
-            "dst_pool_flat": np.fromiter(
-                (pool for row in dsts for _reg, pool, _acc in row),
-                dtype=np.int32, count=num_dsts),
-            "dst_acc_flat": np.fromiter(
-                (acc for row in dsts for _reg, _pool, acc in row),
-                dtype=np.bool_, count=num_dsts),
-        }
-        return cols
-
-    @property
-    def shape_id_col(self) -> np.ndarray:
-        """Per instruction: :attr:`shape_ids` as an int32 column."""
-        return self._build_columns()["shape_id_col"]
-
-    @property
-    def opcode_id_col(self) -> np.ndarray:
-        """Per instruction: :attr:`opcode_ids` as an int32 column."""
-        return self._build_columns()["opcode_id_col"]
-
-    @property
-    def src_flat(self) -> np.ndarray:
-        """CSR values of :attr:`srcs` (see :attr:`src_indptr`)."""
-        return self._build_columns()["src_flat"]
-
-    @property
-    def src_indptr(self) -> np.ndarray:
-        """CSR row boundaries of :attr:`srcs`."""
-        return self._build_columns()["src_indptr"]
-
-    @property
-    def dst_reg_flat(self) -> np.ndarray:
-        """CSR destination register ids (see :attr:`dst_indptr`)."""
-        return self._build_columns()["dst_reg_flat"]
-
-    @property
-    def dst_pool_flat(self) -> np.ndarray:
-        """CSR destination rename-pool indices (see :attr:`dst_indptr`)."""
-        return self._build_columns()["dst_pool_flat"]
-
-    @property
-    def dst_acc_flat(self) -> np.ndarray:
-        """CSR destination accumulator flags (see :attr:`dst_indptr`)."""
-        return self._build_columns()["dst_acc_flat"]
-
-    @property
-    def dst_indptr(self) -> np.ndarray:
-        """CSR row boundaries of :attr:`dsts`."""
-        return self._build_columns()["dst_indptr"]
-
-    @property
-    def has_same_pool_multi_dst(self) -> bool:
-        """Whether any instruction writes two destinations in one rename
-        pool.
-
-        idct/mom's ``mom_transpose_pair`` writes two matrix registers, and
-        hand-built traces can do the same.  The vector batch backend's
-        sliding-window rename pools assume at most one same-pool
-        destination per instruction (a full pool pops exactly once per
-        push), so it declines these traces and the per-config interpreter
-        runs instead.  Memoised: one pass over the destination rows on
-        first use.
-        """
-        known = self._same_pool_multi_dst
-        if known is None:
-            known = self._same_pool_multi_dst = any(
-                len(row) > 1
-                and len({pool for _reg, pool, _acc in row}) < len(row)
-                for row in self.dsts)
-        return known
 
     def __len__(self) -> int:
         return self.num_instructions

@@ -3,8 +3,8 @@
 The object emission path appends one frozen-dataclass
 :class:`~repro.trace.instruction.DynInstr` per emitted instruction, and a
 cold sweep then pays again to undo that choice: ``lower_trace``
-re-interns every operand into the flat arrays the fast timing backends
-execute.  Both passes walk the same data.
+re-interns every operand into the flat arrays the lowered timing backend
+executes.  Both passes walk the same data.
 
 :class:`TraceColumns` does the interning **once, at emission time**.  Every
 ``emit`` call is folded into a *record pool*: the full per-instruction
@@ -18,7 +18,7 @@ instructions reuses a few hundred distinct records), and the recorder keeps
   once when a row is first seen,
 * growing per-instruction id columns in **the exact layout**
   :class:`~repro.timing.lowered.LoweredTrace` defines, so
-  :meth:`adopt_lowered` hands the very same lists to the timing backends —
+  :meth:`adopt_lowered` hands the very same lists to the timing backend —
   a zero-copy adoption instead of a lowering pass.
 
 Interning order is the crux of equivalence: rows are interned in

@@ -401,8 +401,8 @@ class TestFigure4ThroughEngine:
 
 class TestBackendRouting:
     """Every simulated trace group goes through the timing package's batch
-    dispatch, the engine records each group's (size, executed backend),
-    and ``backend=`` selects the execution without changing a single
+    dispatch, the engine records each group's (size, backend), and
+    ``backend=`` selects the execution without changing a single
     number."""
 
     def _figure4_grid(self):
@@ -413,19 +413,25 @@ class TestBackendRouting:
         return figure4_sweep(kernels=["comp"], ways=(1, 2, 4, 8), spec=_SPEC)
 
     @pytest.fixture
-    def batch_hook(self):
-        from repro.timing.vector import add_batch_hook, remove_batch_hook
+    def batch_calls(self, monkeypatch):
+        """Every ``simulate_batch`` call as ``(trace name, configs,
+        backend)``."""
+        from repro.timing import dispatch
 
         calls = []
-        hook = add_batch_hook(
-            lambda name, isa, n, mode: calls.append((name, isa, n, mode)))
-        yield calls
-        remove_batch_hook(hook)
+        real = dispatch.simulate_batch
+
+        def spy(trace, configs, backend="lowered", **kwargs):
+            calls.append((trace.name, len(configs), backend))
+            return real(trace, configs, backend=backend, **kwargs)
+
+        monkeypatch.setattr(dispatch, "simulate_batch", spy)
+        return calls
 
     def test_figure4_grid_routes_through_batch_backend_serially(
-            self, batch_hook):
+            self, batch_calls):
         """Acceptance: a figure-4 grid sweep simulates every group through
-        run_lowered_batch on the serial path."""
+        one simulate_batch call on the serial path."""
         sweep = self._figure4_grid()
         engine = SweepEngine()
         results = engine.run(sweep)
@@ -434,82 +440,43 @@ class TestBackendRouting:
         assert len(results) == groups * 4
         # the engine's own record: every group went through the dispatch
         assert sorted(engine.last_batches) == [(4, "lowered")] * groups
-        # and the batch backend itself observed every group
-        assert sorted(n for _k, _i, n, _m in batch_hook) == [4] * groups
-        assert {m for _k, _i, _n, m in batch_hook} == {"lowered"}
+        # and the dispatch itself observed every group
+        assert sorted(n for _k, n, _b in batch_calls) == [4] * groups
+        assert {b for _k, _n, b in batch_calls} == {"lowered"}
 
     def test_figure4_grid_routes_through_batch_backend_with_jobs(self):
         """Acceptance: same grid under --jobs — each pool task returns its
-        group's executed-backend record to the parent."""
+        group's backend record to the parent."""
         sweep = self._figure4_grid()
         engine = SweepEngine(jobs=2)
         results = engine.run(sweep)
         assert len(results) == 16
         assert engine.last_trace_builds == 4
-        assert len(engine.last_batches) == 4
-        assert all(mode in ("lowered", "vector")
-                   for _n, mode in engine.last_batches)
-        assert sum(n for n, _mode in engine.last_batches) == 16
+        assert sorted(engine.last_batches) == [(4, "lowered")] * 4
         baseline = SweepEngine().run(sweep)
         assert [r.sim for r in results] == [r.sim for r in baseline]
 
-    def test_backend_vector_forces_the_array_program(self, batch_hook):
-        sweep = self._figure4_grid()
-        engine = SweepEngine(backend="vector")
-        results = engine.run(sweep)
-        assert {mode for _n, mode in engine.last_batches} == {"vector"}
-        assert {m for _k, _i, _n, m in batch_hook} == {"vector"}
-        baseline = SweepEngine(backend="lowered").run(sweep)
-        assert [r.sim for r in results] == [r.sim for r in baseline]
-
     def test_backend_object_matches_and_skips_the_batch_module(
-            self, batch_hook):
+            self, batch_calls):
         points = [SweepPoint("comp", "mom", MachineConfig.for_way(w), _SPEC)
                   for w in (1, 4)]
         engine = SweepEngine(backend="object")
         results = engine.run(points)
         assert engine.last_batches == [(2, "object")]
-        assert batch_hook == []  # object backend never enters vector.py
+        assert batch_calls == [("comp", 2, "object")]
         baseline = SweepEngine().run(points)
         assert [r.sim for r in results] == [r.sim for r in baseline]
 
-    def test_auto_uses_vector_for_large_groups(self):
-        from repro.timing.vector import VECTOR_MIN_BATCH
-
-        configs = [MachineConfig.for_way(4, mem_latency=lat)
-                   for lat in range(1, VECTOR_MIN_BATCH + 1)]
-        sweep = SweepSpec.make(kernels=["comp"], isas=("mom",),
-                               configs=configs, spec=_SPEC)
-        engine = SweepEngine()
-        engine.run(sweep)
-        assert engine.last_batches == [(VECTOR_MIN_BATCH, "vector")]
-
-    @pytest.mark.parametrize("backend", ["auto", "vector"])
-    def test_declined_vector_group_records_the_interpreter(
-            self, backend, batch_hook):
-        """idct/mom writes two matrix registers in one instruction, which
-        the array program declines: a group big enough for it (or forced
-        onto it) runs the lowered interpreter, and the record says so."""
-        configs = [MachineConfig.for_way(4, mem_latency=lat)
-                   for lat in range(1, 65)]
-        sweep = SweepSpec.make(kernels=["idct"], isas=("mom",),
-                               configs=configs, spec=_SPEC)
-        engine = SweepEngine(backend=backend)
-        results = engine.run(sweep)
-        assert engine.last_batches == [(64, "lowered")]
-        assert [mode for _k, _i, _n, mode in batch_hook] == ["lowered"]
-        baseline = SweepEngine(backend="object").run(sweep)
-        assert [r.sim for r in results] == [r.sim for r in baseline]
-
     def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="unknown timing backend"):
-            SweepEngine(backend="fpga")
+        for backend in ("fpga", "auto", "vector"):
+            with pytest.raises(ValueError, match="unknown timing backend"):
+                SweepEngine(backend=backend)
 
     def test_backend_is_not_part_of_the_cache_key(self, tmp_path):
         """Backends are bit-identical, so a result cached by one backend
         must be served to every other."""
         point = SweepPoint("comp", "mom", MachineConfig.for_way(4), _SPEC)
-        SweepEngine(cache_dir=str(tmp_path), backend="vector").run([point])
+        SweepEngine(cache_dir=str(tmp_path), backend="lowered").run([point])
         warm = SweepEngine(cache_dir=str(tmp_path), backend="object")
         warm.run([point])
         assert warm.last_cached == 1

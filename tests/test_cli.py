@@ -120,12 +120,14 @@ class TestCommands:
 
 
 class TestBackendFlag:
-    def test_backend_defaults_to_auto(self):
+    def test_backend_defaults_to_lowered(self):
         args = build_parser().parse_args(["sweep", "--kernels", "comp"])
-        assert args.backend == "auto"
+        assert args.backend == "lowered"
+        args = build_parser().parse_args(["serve", "--state-dir", "s"])
+        assert args.backend == "lowered"
 
     def test_backend_choices(self):
-        for backend in ("auto", "object", "lowered", "vector"):
+        for backend in ("lowered", "object"):
             args = build_parser().parse_args(
                 ["sweep", "--kernels", "comp", "--backend", backend])
             assert args.backend == backend
@@ -133,20 +135,32 @@ class TestBackendFlag:
             build_parser().parse_args(
                 ["sweep", "--kernels", "comp", "--backend", "fpga"])
 
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--kernels", "comp", "--backend", "auto"],
+        ["sweep", "--kernels", "comp", "--backend", "vector"],
+        ["serve", "--state-dir", "s", "--backend", "vector"],
+        ["calibrate"],
+    ], ids=["auto", "vector", "serve-vector", "calibrate"])
+    def test_removed_names_exit_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
     def test_backend_flag_on_every_sweep_command(self):
         for command in (["figure4"], ["figure5"], ["tables"]):
             args = build_parser().parse_args(
-                command + ["--kernels", "comp", "--backend", "vector"])
-            assert args.backend == "vector"
+                command + ["--kernels", "comp", "--backend", "object"])
+            assert args.backend == "object"
 
-    @pytest.mark.parametrize("backend", ["object", "lowered", "vector"])
+    @pytest.mark.parametrize("backend", ["object", "lowered"])
     def test_sweep_backends_print_identical_numbers(self, capsys, backend):
         base = ["sweep", "--kernels", "comp", "--isas", "scalar", "mom",
                 "--scale", "1"]
         assert main(base) == 0
-        auto_out = capsys.readouterr().out
+        default_out = capsys.readouterr().out
         assert main(base + ["--backend", backend]) == 0
-        assert capsys.readouterr().out == auto_out
+        assert capsys.readouterr().out == default_out
 
 
 class TestCacheStatsJson:

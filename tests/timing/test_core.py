@@ -298,12 +298,22 @@ class TestStructuralLimits:
 class TestConstruction:
     @pytest.mark.parametrize("field", ["num_int_alu", "num_int_mul",
                                        "num_mem_ports", "num_media_fu",
-                                       "issue_width"])
+                                       "issue_width", "fetch_width",
+                                       "commit_width", "rob_size"])
     def test_zero_units_or_issue_width_rejected_at_construction(self, field):
         """With no unit of a kind, or no issue slot, an instruction could
         never issue and the lowered interpreter's issue search would never
-        end; the core refuses such a configuration up front, before any
-        run."""
+        end; with no fetch, commit or ROB slot both loops would index an
+        empty history.  The core refuses such a configuration up front,
+        before any run."""
         cfg = MachineConfig.for_way(4).with_updates(**{field: 0})
         with pytest.raises(ValueError, match=r">= 1"):
             OutOfOrderCore(cfg)
+
+    def test_negative_mem_latency_rejected_at_construction(self):
+        """A negative memory latency would complete loads before they
+        issue and silently shorten every run."""
+        cfg = MachineConfig.for_way(4, mem_latency=-1)
+        with pytest.raises(ValueError, match="mem_latency"):
+            OutOfOrderCore(cfg)
+        OutOfOrderCore(MachineConfig.for_way(4, mem_latency=0))

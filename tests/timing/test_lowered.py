@@ -5,7 +5,8 @@ must be *bit-identical* to the object-level ``run()`` — same cycles, same
 stall breakdown, same per-instruction timeline — for every trace and every
 machine configuration.  These tests pin that across all kernels x ISAs x a
 configuration grid, on adversarial hand-written traces, and on randomly
-generated ones; plus the lowering memo and the single-use core guard.
+generated ones; plus the lowering memo, the single-use core guard, and
+the batch dispatch (``simulate_batch``) over both backends.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from repro.kernels.base import ISA_VARIANTS
 from repro.kernels.registry import kernel_names
 from repro.timing.config import MachineConfig
 from repro.timing.core import OutOfOrderCore, simulate_trace
+from repro.timing.dispatch import BACKENDS, simulate_batch
 from repro.timing.lowered import lower_trace
 from repro.trace.container import Trace
 from repro.trace.instruction import DynInstr, RegRef
@@ -295,31 +297,93 @@ class TestSingleUseCore:
         assert simulate_trace(trace, cfg) == simulate_trace(trace, cfg)
 
 
-class TestNdarrayColumns:
-    """The lowered form's NumPy columns (flat CSR srcs/dsts, shape/opcode
-    id columns) must mirror the canonical list rows exactly — the vector
-    batch backend consumes the columns, the lowered interpreter the
-    lists."""
+# ----------------------------------------------------------------------
+# simulate_batch: one call per trace-sharing group, either backend, the
+# same results as looping the object reference core per configuration.
 
-    def test_columns_mirror_list_rows(self):
-        lowered = lower_trace(_kernel_trace("motion1", "mom"))
-        n = lowered.num_instructions
-        assert lowered.shape_id_col.tolist() == lowered.shape_ids
-        assert lowered.opcode_id_col.tolist() == lowered.opcode_ids
-        assert len(lowered.src_indptr) == len(lowered.dst_indptr) == n + 1
-        for i in range(n):
-            lo, hi = lowered.src_indptr[i], lowered.src_indptr[i + 1]
-            assert tuple(lowered.src_flat[lo:hi]) == lowered.srcs[i]
-            lo, hi = lowered.dst_indptr[i], lowered.dst_indptr[i + 1]
-            assert [(int(r), int(p), bool(a)) for r, p, a in
-                    zip(lowered.dst_reg_flat[lo:hi],
-                        lowered.dst_pool_flat[lo:hi],
-                        lowered.dst_acc_flat[lo:hi])] \
-                == [tuple(d) for d in lowered.dsts[i]]
+#: Batches the dispatch must handle: none, one, duplicates, the grid.
+_BATCHES = {
+    "empty": (),
+    "one": (MachineConfig.for_way(4),),
+    "duplicates": (MachineConfig.for_way(2, mem_latency=12),) * 5,
+    "grid": CONFIG_GRID,
+}
 
-    def test_empty_trace_columns(self):
-        lowered = lower_trace(Trace("empty", "test"))
-        assert lowered.src_indptr.tolist() == [0]
-        assert lowered.dst_indptr.tolist() == [0]
-        assert lowered.src_flat.size == 0
-        assert lowered.dst_reg_flat.size == 0
+
+def _object_runs(trace: Trace, configs):
+    """Per-config object-loop runs: (results, timelines)."""
+    results, timelines = [], []
+    for config in configs:
+        core = OutOfOrderCore(config)
+        results.append(core.run(trace, record_timeline=True))
+        timelines.append(core.timeline)
+    return results, timelines
+
+
+def _assert_batch_matches_object_runs(trace: Trace, configs, backend: str):
+    got = simulate_batch(trace, configs, backend=backend,
+                         record_timeline=True)
+    want, timelines = _object_runs(trace, configs)
+    assert len(got) == len(configs)
+    for result, expected, timeline, config in zip(got, want, timelines,
+                                                  configs):
+        assert result == expected, f"{backend}: drifted on {config.name}"
+        assert result.stall_breakdown == expected.stall_breakdown
+        assert result.timeline == timeline, (
+            f"{backend}: timeline drifted on {config.name}")
+
+
+class TestSimulateBatch:
+    def test_backends_tuple_is_the_contract(self):
+        assert BACKENDS == ("lowered", "object")
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("batch", sorted(_BATCHES))
+    @pytest.mark.parametrize("kernel_isa", [("comp", "mmx"), None],
+                             ids=["comp-mmx", "empty-trace"])
+    def test_equals_per_config_object_runs(self, kernel_isa, batch,
+                                           backend):
+        trace = (_kernel_trace(*kernel_isa) if kernel_isa
+                 else Trace("empty", "test"))
+        _assert_batch_matches_object_runs(trace, _BATCHES[batch], backend)
+
+    @pytest.mark.parametrize("kernel", kernel_names())
+    @pytest.mark.parametrize("isa", ISA_VARIANTS)
+    def test_backends_agree_on_kernels(self, kernel, isa):
+        """The paper's axes: issue width and memory latency."""
+        configs = (MachineConfig.for_way(1), MachineConfig.for_way(4),
+                   MachineConfig.for_way(4, mem_latency=50))
+        trace = _kernel_trace(kernel, isa)
+        lowered = simulate_batch(trace, configs, backend="lowered",
+                                 record_timeline=True)
+        reference = simulate_batch(trace, configs, backend="object",
+                                   record_timeline=True)
+        assert lowered == reference
+        assert ([r.timeline for r in lowered]
+                == [r.timeline for r in reference])
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_invalid_resources_raise(self, backend):
+        trace = _kernel_trace("comp", "scalar")
+        bad = MachineConfig.for_way(4).with_updates(num_int_alu=0)
+        with pytest.raises(ValueError):
+            simulate_batch(trace, [MachineConfig.for_way(4), bad],
+                           backend=backend)
+
+    @pytest.mark.parametrize("backend", ["auto", "vector", "jit"])
+    def test_unknown_backend_raises(self, backend):
+        with pytest.raises(ValueError, match="unknown timing backend"):
+            simulate_batch(_kernel_trace("comp", "scalar"),
+                           [MachineConfig.for_way(4)], backend=backend)
+
+    def test_object_backend_requires_a_trace(self):
+        lowered = lower_trace(_kernel_trace("comp", "scalar"))
+        with pytest.raises(TypeError, match="object backend"):
+            simulate_batch(lowered, [MachineConfig.for_way(4)],
+                           backend="object")
+
+    def test_lowered_trace_accepted_by_lowered(self):
+        trace = _kernel_trace("comp", "scalar")
+        configs = [MachineConfig.for_way(2)] * 2
+        assert (simulate_batch(lower_trace(trace), configs)
+                == simulate_batch(trace, configs, backend="object"))
